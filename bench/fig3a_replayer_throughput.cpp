@@ -39,7 +39,6 @@
 #include "generator/models/social_network_model.h"
 #include "generator/stream_generator.h"
 #include "harness/report.h"
-#include "replayer/replayer.h"
 #include "replayer/sharded_replayer.h"
 #include "replayer/tcp.h"
 #include "stream/stream_file.h"
@@ -84,12 +83,12 @@ RateObservation Measure(const std::vector<Event>& events, double target_rate,
   std::vector<double> bin_rates;
   LatencyHistogram lags;
   for (int rep = 0; rep < repetitions; ++rep) {
-    ReplayerOptions options;
-    options.base_rate_eps = target_rate;
+    ShardedReplayerOptions options;
+    options.total_rate_eps = target_rate;
     options.stats_bin = Duration::FromMillis(100);
-    StreamReplayer replayer(options);
+    ShardedReplayer replayer(options);
 
-    Result<ReplayStats> stats = Status::Internal("unset");
+    Result<ShardedReplayStats> stats = Status::Internal("unset");
     if (tcp) {
       TcpLineServer server;
       auto port = server.Start(nullptr);
@@ -102,12 +101,12 @@ RateObservation Measure(const std::vector<Event>& events, double target_rate,
         std::fprintf(stderr, "connect failed\n");
         std::exit(1);
       }
-      stats = replayer.Replay(events, &sink);
+      stats = replayer.Replay(events, {&sink});
       server.Join();
     } else {
       std::FILE* devnull = std::fopen("/dev/null", "w");
       PipeSink sink(devnull);
-      stats = replayer.Replay(events, &sink);
+      stats = replayer.Replay(events, {&sink});
       std::fclose(devnull);
     }
     if (!stats.ok()) {
@@ -116,12 +115,12 @@ RateObservation Measure(const std::vector<Event>& events, double target_rate,
       std::exit(1);
     }
     // Drop the first and last bin (ramp-up / partial bin).
-    const auto& series = stats->rate_series;
+    const auto& series = stats->aggregate.rate_series;
     for (size_t i = 1; i + 1 < series.size(); ++i) {
       bin_rates.push_back(static_cast<double>(series[i].events) /
                           options.stats_bin.seconds());
     }
-    lags.Merge(stats->lag);
+    lags.Merge(stats->aggregate.lag);
   }
   RateObservation obs;
   std::sort(bin_rates.begin(), bin_rates.end());

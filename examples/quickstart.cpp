@@ -15,7 +15,7 @@
 #include "generator/stream_generator.h"
 #include "graph/csr.h"
 #include "graph/graph.h"
-#include "replayer/replayer.h"
+#include "replayer/sharded_replayer.h"
 #include "stream/statistics.h"
 #include "stream/stream_file.h"
 
@@ -58,20 +58,21 @@ int main() {
     return Status::OK();
   });
 
-  ReplayerOptions replay_options;
-  replay_options.base_rate_eps = 100000.0;
-  StreamReplayer replayer(replay_options);
-  auto stats = replayer.ReplayFile(path, &sink);
+  ShardedReplayerOptions replay_options;
+  replay_options.total_rate_eps = 100000.0;
+  ShardedReplayer replayer(replay_options);
+  auto run = replayer.ReplayFile(path, {&sink});
   std::filesystem::remove(path);
-  if (!stats.ok()) {
+  if (!run.ok()) {
     std::fprintf(stderr, "replay failed: %s\n",
-                 stats.status().ToString().c_str());
+                 run.status().ToString().c_str());
     return 1;
   }
+  const ReplayStats& stats = run->aggregate;
   std::printf("replayed %zu events in %.2f s (%.0f events/s achieved)\n",
-              stats->events_delivered, stats->Elapsed().seconds(),
-              stats->AchievedRateEps());
-  for (const MarkerRecord& m : stats->marker_log) {
+              stats.events_delivered, stats.Elapsed().seconds(),
+              stats.AchievedRateEps());
+  for (const MarkerRecord& m : stats.marker_log) {
     std::printf("  marker %-16s after %zu events\n", m.label.c_str(),
                 m.events_before);
   }

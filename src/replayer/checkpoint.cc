@@ -134,13 +134,11 @@ std::string ReplayCheckpoint::ToText() const {
          std::to_string(telemetry.injected_latency_spikes);
   out += "\nstall_s=" + FormatDoubleExact(telemetry.stall_s);
   out += "\n";
-  if (version >= 2) {
-    // The footer covers every byte before its own line, so truncation at
-    // any offset and any bit flip (including inside the footer) fails.
-    char crc[16];
-    std::snprintf(crc, sizeof(crc), "%08x", Crc32(out));
-    out += std::string(kCrcKey) + "=" + crc + "\n";
-  }
+  // The footer covers every byte before its own line, so truncation at any
+  // offset and any bit flip (including inside the footer) fails.
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%08x", Crc32(out));
+  out += std::string(kCrcKey) + "=" + crc + "\n";
   return out;
 }
 
@@ -273,7 +271,7 @@ Result<ReplayCheckpoint> ReplayCheckpoint::FromText(const std::string& text) {
       assign_f64(&cp.telemetry.stall_s);
     } else {
       // Unknown keys from newer writers are skipped (forward compatible;
-      // a v2 writer includes them under its crc, so integrity still holds).
+      // they sit under the crc, so integrity still holds).
       continue;
     }
     if (!st.ok()) {
@@ -283,11 +281,11 @@ Result<ReplayCheckpoint> ReplayCheckpoint::FromText(const std::string& text) {
   if (!header_seen) {
     return Status::ParseError("not a replay checkpoint (missing header)");
   }
-  if (cp.version != 1 && cp.version != 2) {
+  if (cp.version != 2) {
     return Status::ParseError("unsupported checkpoint version " +
                               std::to_string(cp.version));
   }
-  if (cp.version >= 2 && !crc_seen) {
+  if (!crc_seen) {
     return Status::ParseError(
         "checkpoint missing crc32 footer (truncated record)");
   }

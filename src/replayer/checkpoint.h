@@ -11,9 +11,9 @@
 // flush a final checkpoint at the exact abort point, so a resumed run's
 // sink output concatenates byte-identically with the aborted run's.
 //
-// Crash durability (format version 2): the record carries a CRC-32 footer
-// over every preceding byte, the publish path fsyncs the temp file and its
-// directory before the atomic rename, and CheckpointStore keeps N rotated
+// Crash durability: the record carries a CRC-32 footer over every
+// preceding byte, the publish path fsyncs the temp file and its directory
+// before the atomic rename, and CheckpointStore keeps N rotated
 // generations — a SIGKILL or power loss at any instant leaves either the
 // new record, the previous one, or a torn file the loader rejects and
 // falls back past. Per-shard `sink_bytes` record how many payload bytes
@@ -34,9 +34,8 @@ namespace graphtides {
 
 /// \brief One durable snapshot of replay progress.
 struct ReplayCheckpoint {
-  /// Format version; readers reject versions they do not understand.
-  /// Version 2 adds the mandatory crc32 footer (version-1 records are
-  /// still read, without integrity protection).
+  /// Format version; readers accept only 2, whose records end in a
+  /// mandatory crc32 footer.
   uint64_t version = 2;
   /// Source entries consumed (graph events + markers + controls): the
   /// stream offset emission resumes from.
@@ -66,11 +65,11 @@ struct ReplayCheckpoint {
   bool operator==(const ReplayCheckpoint& other) const;
 
   /// Renders the checkpoint as '#'-headed key=value text, ending with the
-  /// crc32 footer line (version >= 2).
+  /// crc32 footer line.
   std::string ToText() const;
   /// Inverse of ToText. ParseError on malformed, truncated, corrupt, or
-  /// unknown-version input — any byte-level damage to a version-2 record
-  /// fails its checksum.
+  /// unknown-version input, and on a missing footer — any byte-level
+  /// damage to a record fails its checksum.
   static Result<ReplayCheckpoint> FromText(const std::string& text);
 
   /// \brief Writes the checkpoint to `path` durably and atomically: temp

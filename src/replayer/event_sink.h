@@ -30,7 +30,7 @@ enum class WireFormat : uint8_t { kCsv = 0, kV2 = 1 };
 /// \brief Runtime-fault telemetry accumulated along a sink chain.
 ///
 /// Decorator sinks (faults/ChaosSink, ResilientSink) report what happened
-/// on the delivery path during a run; StreamReplayer copies the chain's
+/// on the delivery path during a run; ShardedReplayer copies the chain's
 /// telemetry into ReplayStats so fault behaviour is measurable end to end
 /// (§4.3 streaming metrics, extended to the delivery dimension).
 struct SinkTelemetry {

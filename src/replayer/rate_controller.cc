@@ -77,7 +77,11 @@ Timestamp RateController::WaitForNextSlot() {
   // slot is open — no clock read. When replay runs behind schedule this
   // releases whole stretches of slots off one observation (~35 ns per
   // steady_clock read saved per event on a typical VM).
-  if (observed_now_ >= deadline) return deadline;
+  if (!Due(deadline)) WaitUntil(deadline);
+  return deadline;
+}
+
+void RateController::WaitUntil(Timestamp deadline) {
   // Two-stage wait: yield while far from the deadline, spin when close.
   // Yielding keeps the reader thread runnable on loaded machines; the final
   // busy-wait gives microsecond-precision release times.
@@ -91,7 +95,6 @@ Timestamp RateController::WaitForNextSlot() {
     }
     // else: pure busy-wait
   }
-  return deadline;
 }
 
 Duration RateController::Lag() const {

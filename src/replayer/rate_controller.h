@@ -53,17 +53,29 @@ class RateController {
 
   /// Blocks (busy-waits near the deadline) until the next emission slot,
   /// then advances the schedule. Returns the deadline that was enforced.
-  ///
-  /// Clock reads are amortized when emission lags the schedule: a
-  /// previously observed clock value at/past the deadline proves the slot
-  /// is open without reading again (the clock is monotone), so a
-  /// saturated replay pays one clock read per elapsed wait, not per
-  /// event.
+  /// Equivalent to NextDeadline() followed by WaitUntil() unless Due().
   Timestamp WaitForNextSlot();
 
-  /// Non-blocking variant for virtual-time use: the deadline for the next
-  /// event; the caller advances its own clock.
+  /// Advances the schedule and returns the deadline for the next event,
+  /// without waiting (virtual-time callers advance their own clock).
   Timestamp NextDeadline();
+
+  /// \brief True when `deadline` has passed; false means the caller is
+  /// ahead of schedule and must WaitUntil(deadline).
+  ///
+  /// Reads the clock only when no clock value observed so far proves the
+  /// deadline passed. The clock is monotone, so when emission lags the
+  /// schedule one read releases a whole stretch of slots: a saturated
+  /// replay pays one clock read per stretch, not per event.
+  bool Due(Timestamp deadline) {
+    if (observed_now_ >= deadline) return true;
+    observed_now_ = clock_->Now();
+    return observed_now_ >= deadline;
+  }
+
+  /// Blocks until `deadline`: yields while far from it, busy-waits within
+  /// the last 50 us.
+  void WaitUntil(Timestamp deadline);
 
   /// Positive when emission lags behind the schedule.
   Duration Lag() const;

@@ -101,8 +101,8 @@ class ResilientSink final : public EventSink {
   const ResilienceStats& stats() const { return stats_; }
 
   /// \brief The jitter RNG, exposed so a checkpointing replayer can
-  /// snapshot and restore it (ReplayerOptions::checkpoint_rng) — resumed
-  /// runs then reproduce the exact backoff-jitter sequence.
+  /// snapshot and restore it (ShardedReplayerOptions::checkpoint_rng) —
+  /// resumed runs then reproduce the exact backoff-jitter sequence.
   Rng* mutable_jitter_rng() { return &jitter_rng_; }
 
  private:

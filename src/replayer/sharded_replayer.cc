@@ -117,9 +117,11 @@ class EpochBarrier {
   uint64_t phase_ = 0;
 };
 
+/// Per-lane queue capacity in items (batches + barrier tokens).
+constexpr size_t kLaneQueueItems = 1 << 8;
+
 struct LaneState {
-  explicit LaneState(size_t queue_items)
-      : queue(queue_items), recycle(queue_items) {}
+  LaneState() : queue(kLaneQueueItems), recycle(kLaneQueueItems) {}
 
   SpscQueue<LaneItem> queue;
   /// Lane -> reader batch return path: consumed batches come back with
@@ -268,8 +270,8 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
     sink_bytes_base = resume->sink_bytes;
   }
 
-  // --- Counters seeded from the resume checkpoint (same accounting model
-  // as StreamReplayer::Run: the final stats match an uninterrupted run).
+  // --- Counters seeded from the resume checkpoint: the final stats match
+  // an uninterrupted run.
   const uint64_t skip_entries = resume != nullptr ? resume->entries_consumed : 0;
   uint64_t entries = skip_entries;
   uint64_t events_enqueued = resume != nullptr ? resume->events_delivered : 0;
@@ -312,7 +314,7 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
   std::vector<std::unique_ptr<LaneState>> lanes;
   lanes.reserve(shards);
   for (size_t s = 0; s < shards; ++s) {
-    lanes.push_back(std::make_unique<LaneState>(options_.lane_queue_items));
+    lanes.push_back(std::make_unique<LaneState>());
   }
 
   auto current_telemetry = [&] {
@@ -417,7 +419,7 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
     Event scratch;
     Status emit;
     // Serializes the current `view` into `out` in the negotiated wire
-    // format: one sealed v2 block per batch (oversize batches seal and
+    // format: one sealed v2 block per hand-off (full blocks seal and
     // continue — several blocks per delivery is still one valid stream)
     // or one canonical CSV line per event.
     auto serialize_one = [&] {
@@ -429,6 +431,90 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
         view.AppendLine(&out);
       }
     };
+    auto poll_target = [&] {
+      if (options_.rate_target_eps == nullptr) return;
+      const double target =
+          options_.rate_target_eps->load(std::memory_order_relaxed);
+      if (target > 0.0 && target != lane_target) {
+        rate.Retarget(target / static_cast<double>(shards));
+        lane_target = target;
+      }
+    };
+
+    // Events delivered (per-event path) or serialized (serialized path)
+    // since the last hand-off, and the deadline of the last of them.
+    size_t pending = 0;
+    Timestamp last_slot;
+    // Sampling is per hand-off: the first event after one donates the
+    // throttle and serialize spans; the next hand-off records deliver (the
+    // sink call) and ack (the accounting).
+    bool sampled = telem != nullptr && telem->ShouldSample(shard);
+    bool first = true;
+    Timestamp span_start;
+
+    // The delivery hand-off. The serialized path gives the sink everything
+    // serialized since the last one, sealing a partial v2 block; the
+    // per-event path has delivered already. Then the events are accounted:
+    // progress, bins, lag, telemetry. False when the sink failed.
+    auto hand_off = [&]() -> bool {
+      if (pending == 0) return true;
+      if (serialized) {
+        if (v2_wire) v2_encoder.SealTo(&out);
+        const Timestamp deliver_start = sampled ? clock.Now() : Timestamp{};
+        emit = sink->DeliverSerialized(out, pending);
+        if (sampled) {
+          telem->RecordStage(shard, ReplayStage::kDeliver,
+                             clock.Now() - deliver_start);
+        }
+        out.clear();
+        if (!emit.ok()) {
+          pending = 0;
+          return false;
+        }
+        // Sink acked the events; lane accounting not updated yet. One Hit
+        // per record (not per hand-off) so a scripted crash index counts
+        // delivered events regardless of batching.
+        for (size_t i = 0; i < pending; ++i) {
+          FaultPlan::Global().Hit(kCrashPostDelivery);
+        }
+      }
+      const Timestamp ack_start = clock.Now();
+      st.events_delivered += pending;
+      progress_.fetch_add(pending, std::memory_order_relaxed);
+      local_delivered_.fetch_add(pending, std::memory_order_relaxed);
+      st.lag.Record(ack_start - last_slot);
+      roll_bins(last_slot);
+      bin_count += pending;
+      if (telem != nullptr) {
+        telem->AddDelivered(shard, pending);
+        if (sampled) {
+          telem->UpdateDeliveryCounters(shard,
+                                        ToDeliveryCounters(sink->Telemetry()));
+          telem->RecordStage(shard, ReplayStage::kAck,
+                             clock.Now() - ack_start);
+        }
+        sampled = telem->ShouldSample(shard);
+      }
+      first = true;
+      pending = 0;
+      return true;
+    };
+
+    // The only point where a lane can be ahead of schedule. It hands off
+    // and accounts what is pending first, so a paced lane delivers every
+    // event at its slot, and polls the live target. Once `cancel` fired it
+    // skips the wait: the read-ahead drains unpaced. False when the sink
+    // failed.
+    auto wait_point = [&](Timestamp slot) -> bool {
+      if (!hand_off()) return false;
+      poll_target();
+      if (sampled && first) span_start = clock.Now();
+      if (options_.cancel == nullptr || !options_.cancel->cancelled()) {
+        rate.WaitUntil(slot);
+      }
+      return true;
+    };
+
     while (true) {
       std::optional<LaneItem> popped = lane.queue.TryPop();
       if (!popped.has_value()) {
@@ -452,32 +538,17 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
       }
 
       LaneBatch batch = std::move(item.batch);
-      // Retarget at batch granularity: cheap enough to never touch the
-      // per-event fast path, fine-grained enough for capacity windows
-      // (a batch is ~256 events).
-      if (options_.rate_target_eps != nullptr) {
-        const double target =
-            options_.rate_target_eps->load(std::memory_order_relaxed);
-        if (target > 0.0 && target != lane_target) {
-          rate.Retarget(target / static_cast<double>(shards));
-          lane_target = target;
-        }
-      }
-      Timestamp last_slot;
-      size_t delivered = 0;
-      // Lane sampling is per batch (the telemetry-flush granularity): the
-      // first event of a sampled batch donates the throttle and serialize
-      // spans; deliver covers the sink handoff; ack the post-batch flush.
-      const bool sampled = telem != nullptr && telem->ShouldSample(shard);
-      Timestamp span_start;
+      // Retarget at batch granularity too: a lane that lags its schedule
+      // never reaches a wait point.
+      poll_target();
       if (serialized) {
         // Zero-copy path: pace each slot, serialize the canonical line
-        // into the reusable buffer, hand the sink the whole batch once.
-        out.clear();
-        bool first = true;
+        // into the reusable buffer, hand the sink everything serialized
+        // at the next wait point or at the end of the batch.
         for (const LaneRecord& r : batch.records) {
           if (sampled && first) span_start = clock.Now();
-          last_slot = rate.WaitForNextSlot();
+          const Timestamp slot = rate.NextDeadline();
+          if (!rate.Due(slot) && !wait_point(slot)) break;
           view.type = r.type;
           view.vertex = r.vertex;
           view.edge = r.edge;
@@ -493,31 +564,17 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
           } else {
             serialize_one();
           }
-        }
-        if (v2_wire) v2_encoder.SealTo(&out);
-        const Timestamp deliver_start = sampled ? clock.Now() : Timestamp{};
-        emit = sink->DeliverSerialized(out, batch.records.size());
-        if (sampled) {
-          telem->RecordStage(shard, ReplayStage::kDeliver,
-                             clock.Now() - deliver_start);
-        }
-        if (emit.ok()) {
-          delivered = batch.records.size();
-          // Sink acked the whole batch; lane accounting not updated yet.
-          // One Hit per record (not per batch) so a scripted crash index
-          // counts delivered events regardless of batching.
-          for (size_t i = 0; i < delivered; ++i) {
-            FaultPlan::Global().Hit(kCrashPostDelivery);
-          }
+          ++pending;
+          last_slot = slot;
         }
       } else {
         // Decorated sinks (chaos/resilient/callback) need the per-event
         // path; one reusable Event keeps it allocation-free in steady
         // state too.
-        bool first = true;
         for (const LaneRecord& r : batch.records) {
           if (sampled && first) span_start = clock.Now();
-          last_slot = rate.WaitForNextSlot();
+          const Timestamp slot = rate.NextDeadline();
+          if (!rate.Due(slot) && !wait_point(slot)) break;
           scratch.type = r.type;
           scratch.vertex = r.vertex;
           scratch.edge = r.edge;
@@ -535,28 +592,13 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
           }
           if (!emit.ok()) break;
           FaultPlan::Global().Hit(kCrashPostDelivery);
-          ++delivered;
+          ++pending;
+          last_slot = slot;
         }
       }
-      if (delivered > 0) {
-        // One telemetry flush per batch, not per event.
-        const Timestamp ack_start = sampled ? clock.Now() : Timestamp{};
-        st.events_delivered += delivered;
-        progress_.fetch_add(delivered, std::memory_order_relaxed);
-        local_delivered_.fetch_add(delivered, std::memory_order_relaxed);
-        st.lag.Record(clock.Now() - last_slot);
-        roll_bins(last_slot);
-        bin_count += delivered;
-        if (telem != nullptr) {
-          telem->AddDelivered(shard, delivered);
-          if (sampled) {
-            telem->UpdateDeliveryCounters(
-                shard, ToDeliveryCounters(sink->Telemetry()));
-            telem->RecordStage(shard, ReplayStage::kAck,
-                               clock.Now() - ack_start);
-          }
-        }
-      }
+      // Whatever the batch left pending; after a per-event failure this
+      // still accounts the events delivered before it.
+      hand_off();
       batch.Clear();
       (void)lane.recycle.TryPush(std::move(batch));
       if (!emit.ok()) {
@@ -734,6 +776,11 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
     push_item(s, std::move(item));
   }
   for (size_t s = 0; s < shards; ++s) lanes[s]->thread.join();
+  // A cancel that lands after the reader reached the end of the stream
+  // still cancels the run: the lanes drained the rest unpaced.
+  if (options_.cancel != nullptr && options_.cancel->cancelled()) {
+    cancelled = true;
+  }
 
   // --- Assemble the aggregate. ------------------------------------------
   ShardedReplayStats result;

@@ -1,5 +1,5 @@
 // VirtualReplayer: the graph stream replayer transposed into virtual time.
-// Emission follows the same semantics as replayer::StreamReplayer — uniform
+// Emission follows the same semantics as a ShardedReplayer lane — uniform
 // base rate, SET_RATE speed-up factors, PAUSE suspensions, marker logging —
 // but deadlines are simulator timestamps instead of busy-waited wall-clock
 // instants, so simulated SUT experiments run deterministically and fast.

@@ -9,6 +9,7 @@
 
 #include "algorithms/online_pagerank.h"
 #include "algorithms/pagerank.h"
+#include "common/random.h"
 #include "faults/fault_injector.h"
 #include "generator/models/social_network_model.h"
 #include "generator/stream_generator.h"
@@ -18,7 +19,9 @@
 #include "harness/experiment.h"
 #include "harness/marker_correlator.h"
 #include "harness/metrics_logger.h"
-#include "replayer/replayer.h"
+#include "replayer/sharded_replayer.h"
+#include "sim/simulator.h"
+#include "sim/virtual_replayer.h"
 #include "stream/stream_file.h"
 #include "stream/validator.h"
 
@@ -71,17 +74,18 @@ TEST_F(EndToEndTest, GenerateWriteReplayComputeAnalyze) {
     return Status::OK();
   });
 
-  ReplayerOptions replay_options;
-  replay_options.base_rate_eps = 500000.0;
-  StreamReplayer replayer(replay_options);
-  auto stats = replayer.ReplayFile(Path("social.gts"), &sink);
-  ASSERT_TRUE(stats.ok());
+  ShardedReplayerOptions replay_options;
+  replay_options.total_rate_eps = 500000.0;
+  ShardedReplayer replayer(replay_options);
+  auto run = replayer.ReplayFile(Path("social.gts"), {&sink});
+  ASSERT_TRUE(run.ok());
+  const ReplayStats& stats = run->aggregate;
 
   // Marker log: forward into the harness logger, simulating the paper's
   // watermark flow; the SUT "observes" each marker when its preceding
   // events are applied (same thread here, so latency ~ 0 but the plumbing
   // is exercised end to end).
-  for (const MarkerRecord& m : stats->marker_log) {
+  for (const MarkerRecord& m : stats.marker_log) {
     replayer_log.LogAt(m.time, "marker_sent", 1.0, m.label);
     sut_log.LogAt(m.time, "marker_seen", 1.0, m.label);
   }
@@ -98,7 +102,7 @@ TEST_F(EndToEndTest, GenerateWriteReplayComputeAnalyze) {
 
   const auto report =
       CorrelateMarkers(*reloaded, "marker_sent", "marker_seen");
-  EXPECT_EQ(report.matched.size(), stats->marker_log.size());
+  EXPECT_EQ(report.matched.size(), stats.marker_log.size());
   EXPECT_TRUE(report.unmatched.empty());
 
   // 5. The online computation result approximates the batch reference.
@@ -116,7 +120,7 @@ TEST_F(EndToEndTest, GenerateWriteReplayComputeAnalyze) {
   EXPECT_LT(MedianRelativeError(approx, exact.ranks), 0.15);
 
   // Sanity: the stream really drove the graph.
-  EXPECT_EQ(stats->events_delivered, applied);
+  EXPECT_EQ(stats.events_delivered, applied);
   EXPECT_EQ(graph.num_vertices(), generated->final_vertices);
   EXPECT_EQ(graph.num_edges(), generated->final_edges);
 }
@@ -147,10 +151,10 @@ TEST_F(EndToEndTest, FaultInjectedReplayDegradesGracefully) {
     if (!graph.Apply(e).ok()) ++rejected;
     return Status::OK();
   });
-  ReplayerOptions replay_options;
-  replay_options.base_rate_eps = 500000.0;
-  StreamReplayer replayer(replay_options);
-  auto stats = replayer.Replay(faulty, &sink);
+  ShardedReplayerOptions replay_options;
+  replay_options.total_rate_eps = 500000.0;
+  ShardedReplayer replayer(replay_options);
+  auto stats = replayer.Replay(faulty, {&sink});
   ASSERT_TRUE(stats.ok());
   EXPECT_GT(rejected, 0u);
 
@@ -164,19 +168,27 @@ TEST_F(EndToEndTest, FaultInjectedReplayDegradesGracefully) {
 
 TEST_F(EndToEndTest, TwoConfigurationsComparedWithConfidenceIntervals) {
   // Methodology (§4.5) smoke test on a real component: replayer achieved
-  // rate at two target rates, n runs each, compared via CI95.
+  // rate at two target rates, n runs each, compared via CI95. The rates are
+  // measured in virtual time, so the comparison is deterministic; a seeded
+  // PAUSE of up to 1 ms per repetition makes the samples vary.
   auto measure = [&](double rate, uint64_t seed) {
+    Rng rng(seed + 1);
     std::vector<Event> events;
     for (VertexId v = 0; v < 2000; ++v) {
       events.push_back(Event::AddVertex(v + seed * 100000));
     }
-    ReplayerOptions options;
+    events.insert(events.begin() + rng.NextInt(1, 1999),
+                  Event::Pause(Duration::FromMicros(rng.NextInt(0, 1000))));
+    Simulator sim;
+    VirtualReplayerOptions options;
     options.base_rate_eps = rate;
-    StreamReplayer replayer(options);
-    NullSink sink;
-    auto stats = replayer.Replay(events, &sink);
-    EXPECT_TRUE(stats.ok());
-    return stats->AchievedRateEps();
+    VirtualReplayer replayer(&sim, options);
+    const Timestamp started = sim.Now();
+    replayer.Start(std::move(events), [](const Event&, size_t) {});
+    sim.RunUntilIdle();
+    EXPECT_TRUE(replayer.finished());
+    return static_cast<double>(replayer.events_delivered()) /
+           (replayer.finished_at() - started).seconds();
   };
   std::vector<double> slow;
   std::vector<double> fast;

@@ -100,8 +100,9 @@ TEST_F(CheckpointFuzzTest, ContentAfterCrcFooterIsRejected) {
   EXPECT_TRUE(parsed.status().IsParseError());
 }
 
-TEST_F(CheckpointFuzzTest, VersionOneWithoutCrcIsStillReadable) {
-  // Records written before the crc footer existed must keep loading.
+TEST_F(CheckpointFuzzTest, VersionOneWithoutCrcIsRejected) {
+  // Records from before the crc footer existed carry no integrity check;
+  // nothing writes them any more, so they no longer load.
   std::string v1 =
       "# graphtides replay checkpoint\n"
       "version=1\n"
@@ -110,10 +111,8 @@ TEST_F(CheckpointFuzzTest, VersionOneWithoutCrcIsStillReadable) {
       "markers=1\n"
       "controls=1\n";
   auto parsed = ReplayCheckpoint::FromText(v1);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->version, 1u);
-  EXPECT_EQ(parsed->entries_consumed, 10u);
-  EXPECT_EQ(parsed->events_delivered, 8u);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_TRUE(parsed.status().IsParseError()) << parsed.status().ToString();
 }
 
 TEST_F(CheckpointFuzzTest, SinkBytesRoundTripThroughText) {

@@ -16,7 +16,6 @@
 #include "common/random.h"
 #include "harness/run_watchdog.h"
 #include "replayer/event_sink.h"
-#include "replayer/replayer.h"
 #include "replayer/sharded_replayer.h"
 #include "stream/event.h"
 
@@ -165,9 +164,9 @@ std::vector<Event> SyntheticStream(size_t graph_events) {
   return events;
 }
 
-ReplayerOptions FastOptions() {
-  ReplayerOptions options;
-  options.base_rate_eps = 1e6;
+ShardedReplayerOptions FastOptions() {
+  ShardedReplayerOptions options;
+  options.total_rate_eps = 1e6;
   return options;
 }
 
@@ -186,12 +185,12 @@ TEST_F(CheckpointTest, ResumeMatchesUninterruptedRunAtManyBoundaries) {
   const std::vector<Event> events = SyntheticStream(10000);
 
   Collected baseline;
-  StreamReplayer full(FastOptions());
-  auto full_stats = full.Replay(events, &baseline.sink);
+  ShardedReplayer full(FastOptions());
+  auto full_stats = full.Replay(events, {&baseline.sink});
   ASSERT_TRUE(full_stats.ok());
-  ASSERT_EQ(full_stats->events_delivered, 10000u);
-  ASSERT_GT(full_stats->markers, 0u);
-  ASSERT_EQ(full_stats->controls, 2u);
+  ASSERT_EQ(full_stats->aggregate.events_delivered, 10000u);
+  ASSERT_GT(full_stats->aggregate.markers, 0u);
+  ASSERT_EQ(full_stats->aggregate.controls, 2u);
 
   // Stop points straddle marker and control boundaries.
   for (const uint64_t stop : {1ul, 499ul, 500ul, 2500ul, 2501ul, 5000ul,
@@ -200,31 +199,33 @@ TEST_F(CheckpointTest, ResumeMatchesUninterruptedRunAtManyBoundaries) {
     const std::string cp_path = Path("resume_" + std::to_string(stop));
 
     Collected part1;
-    ReplayerOptions opts1 = FastOptions();
+    ShardedReplayerOptions opts1 = FastOptions();
     opts1.stop_after_events = stop;
     opts1.checkpoint_path = cp_path;
-    StreamReplayer replayer1(opts1);
-    auto stats1 = replayer1.Replay(events, &part1.sink);
+    ShardedReplayer replayer1(opts1);
+    auto stats1 = replayer1.Replay(events, {&part1.sink});
     ASSERT_TRUE(stats1.ok());
-    EXPECT_TRUE(stats1->stopped_early);
-    EXPECT_EQ(stats1->events_delivered, stop);
-    EXPECT_GE(stats1->checkpoints_written, 1u);
+    EXPECT_TRUE(stats1->aggregate.stopped_early);
+    EXPECT_EQ(stats1->aggregate.events_delivered, stop);
+    EXPECT_GE(stats1->aggregate.checkpoints_written, 1u);
 
     auto cp = ReplayCheckpoint::LoadFrom(cp_path);
     ASSERT_TRUE(cp.ok());
     EXPECT_EQ(cp->events_delivered, stop);
 
     Collected part2;
-    StreamReplayer replayer2(FastOptions());
-    auto stats2 = replayer2.Replay(events, &part2.sink, &*cp);
+    ShardedReplayer replayer2(FastOptions());
+    auto stats2 = replayer2.Replay(events, {&part2.sink}, &*cp);
     ASSERT_TRUE(stats2.ok());
 
     // Resumed counters continue from the checkpoint: final totals match the
     // uninterrupted run.
-    EXPECT_EQ(stats2->events_delivered, full_stats->events_delivered);
-    EXPECT_EQ(stats2->markers, full_stats->markers);
-    EXPECT_EQ(stats2->controls, full_stats->controls);
-    EXPECT_EQ(stats2->entries_consumed, full_stats->entries_consumed);
+    EXPECT_EQ(stats2->aggregate.events_delivered,
+              full_stats->aggregate.events_delivered);
+    EXPECT_EQ(stats2->aggregate.markers, full_stats->aggregate.markers);
+    EXPECT_EQ(stats2->aggregate.controls, full_stats->aggregate.controls);
+    EXPECT_EQ(stats2->aggregate.entries_consumed,
+              full_stats->aggregate.entries_consumed);
 
     // The applied-event set is exactly-once: concatenating both segments
     // reproduces the baseline byte for byte.
@@ -239,27 +240,27 @@ TEST_F(CheckpointTest, PeriodicCheckpointsLeaveResumableFinalRecord) {
   const std::string cp_path = Path("periodic");
 
   Collected collected;
-  ReplayerOptions opts = FastOptions();
+  ShardedReplayerOptions opts = FastOptions();
   opts.checkpoint_every = 100;
   opts.checkpoint_path = cp_path;
-  StreamReplayer replayer(opts);
-  auto stats = replayer.Replay(events, &collected.sink);
+  ShardedReplayer replayer(opts);
+  auto stats = replayer.Replay(events, {&collected.sink});
   ASSERT_TRUE(stats.ok());
-  EXPECT_GE(stats->checkpoints_written, 10u);
+  EXPECT_GE(stats->aggregate.checkpoints_written, 10u);
 
   auto cp = ReplayCheckpoint::LoadFrom(cp_path);
   ASSERT_TRUE(cp.ok());
   // The last periodic checkpoint covers the whole run.
   EXPECT_EQ(cp->events_delivered, 1000u);
-  EXPECT_EQ(cp->entries_consumed, stats->entries_consumed);
+  EXPECT_EQ(cp->entries_consumed, stats->aggregate.entries_consumed);
 }
 
 TEST_F(CheckpointTest, WatchdogCancelLeavesResumableCheckpoint) {
   const std::vector<Event> events = SyntheticStream(2000);
 
   Collected baseline;
-  StreamReplayer full(FastOptions());
-  ASSERT_TRUE(full.Replay(events, &baseline.sink).ok());
+  ShardedReplayer full(FastOptions());
+  ASSERT_TRUE(full.Replay(events, {&baseline.sink}).ok());
 
   // The sink wedges at the 500th delivery: it stops returning until the
   // watchdog notices the frozen progress counter and fires the token.
@@ -276,10 +277,10 @@ TEST_F(CheckpointTest, WatchdogCancelLeavesResumableCheckpoint) {
     return Status::OK();
   });
 
-  ReplayerOptions opts = FastOptions();
+  ShardedReplayerOptions opts = FastOptions();
   opts.cancel = &token;
   opts.checkpoint_path = cp_path;
-  StreamReplayer replayer(opts);
+  ShardedReplayer replayer(opts);
 
   WatchdogOptions wd_opts;
   wd_opts.stall_deadline = Duration::FromMillis(100);
@@ -290,7 +291,7 @@ TEST_F(CheckpointTest, WatchdogCancelLeavesResumableCheckpoint) {
                  token.RequestCancel("watchdog: no progress");
                });
 
-  auto stats = replayer.Replay(events, &stalling);
+  auto stats = replayer.Replay(events, {&stalling});
   watchdog.Disarm();
   ASSERT_FALSE(stats.ok());
   EXPECT_TRUE(stats.status().IsCancelled());
@@ -303,10 +304,10 @@ TEST_F(CheckpointTest, WatchdogCancelLeavesResumableCheckpoint) {
   EXPECT_EQ(cp->events_delivered, part1.size());
 
   Collected part2;
-  StreamReplayer resumed(FastOptions());
-  auto stats2 = resumed.Replay(events, &part2.sink, &*cp);
+  ShardedReplayer resumed(FastOptions());
+  auto stats2 = resumed.Replay(events, {&part2.sink}, &*cp);
   ASSERT_TRUE(stats2.ok());
-  EXPECT_EQ(stats2->events_delivered, 2000u);
+  EXPECT_EQ(stats2->aggregate.events_delivered, 2000u);
 
   std::vector<std::string> combined = part1;
   combined.insert(combined.end(), part2.lines.begin(), part2.lines.end());
@@ -320,11 +321,11 @@ TEST_F(CheckpointTest, TelemetryBaselineCarriesAcrossResume) {
   cp.telemetry.backoff_s = 1.5;
 
   Collected collected;
-  StreamReplayer replayer(FastOptions());
-  auto stats = replayer.Replay(events, &collected.sink, &cp);
+  ShardedReplayer replayer(FastOptions());
+  auto stats = replayer.Replay(events, {&collected.sink}, &cp);
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->telemetry.retries, 5u);
-  EXPECT_DOUBLE_EQ(stats->telemetry.backoff_s, 1.5);
+  EXPECT_EQ(stats->aggregate.telemetry.retries, 5u);
+  EXPECT_DOUBLE_EQ(stats->aggregate.telemetry.backoff_s, 1.5);
 }
 
 TEST_F(CheckpointTest, CheckpointRngStateRestoredOnResume) {
@@ -333,12 +334,12 @@ TEST_F(CheckpointTest, CheckpointRngStateRestoredOnResume) {
 
   Rng original(7);
   Collected part1;
-  ReplayerOptions opts1 = FastOptions();
+  ShardedReplayerOptions opts1 = FastOptions();
   opts1.stop_after_events = 10;
   opts1.checkpoint_path = cp_path;
   opts1.checkpoint_rng = &original;
-  StreamReplayer replayer1(opts1);
-  ASSERT_TRUE(replayer1.Replay(events, &part1.sink).ok());
+  ShardedReplayer replayer1(opts1);
+  ASSERT_TRUE(replayer1.Replay(events, {&part1.sink}).ok());
 
   auto cp = ReplayCheckpoint::LoadFrom(cp_path);
   ASSERT_TRUE(cp.ok());
@@ -347,10 +348,10 @@ TEST_F(CheckpointTest, CheckpointRngStateRestoredOnResume) {
   // with the checkpointed state.
   Rng restored(99);
   Collected part2;
-  ReplayerOptions opts2 = FastOptions();
+  ShardedReplayerOptions opts2 = FastOptions();
   opts2.checkpoint_rng = &restored;
-  StreamReplayer replayer2(opts2);
-  ASSERT_TRUE(replayer2.Replay(events, &part2.sink, &*cp).ok());
+  ShardedReplayer replayer2(opts2);
+  ASSERT_TRUE(replayer2.Replay(events, {&part2.sink}, &*cp).ok());
 
   Rng reference(7);
   EXPECT_EQ(restored.NextU64(), reference.NextU64());
@@ -363,8 +364,8 @@ TEST_F(CheckpointTest, ResumeBeyondEndOfStreamIsInvalidArgument) {
   cp.events_delivered = 1000;
 
   Collected collected;
-  StreamReplayer replayer(FastOptions());
-  auto stats = replayer.Replay(events, &collected.sink, &cp);
+  ShardedReplayer replayer(FastOptions());
+  auto stats = replayer.Replay(events, {&collected.sink}, &cp);
   ASSERT_FALSE(stats.ok());
   EXPECT_TRUE(stats.status().IsInvalidArgument());
 }

@@ -30,7 +30,6 @@
 #include "common/fault_plan.h"
 #include "replayer/checkpoint.h"
 #include "replayer/event_sink.h"
-#include "replayer/replayer.h"
 #include "replayer/sharded_replayer.h"
 #include "stream/event.h"
 #include "stream/stream_file.h"
@@ -91,33 +90,18 @@ class CrashWindowTest : public ::testing::Test {
       sinks.push_back(std::make_unique<PipeSink>(f));
       sink_ptrs.push_back(sinks.back().get());
     }
-    const bool checkpointing = !checkpoint_path.empty();
-    Status status;
-    if (shards == 1) {
-      ReplayerOptions options;
-      options.base_rate_eps = 1e6;
-      if (checkpointing) {
-        options.checkpoint_path = checkpoint_path;
-        options.checkpoint_every = 300;
-        options.checkpoint_generations = 3;
-        options.record_sink_bytes = true;
-      }
-      StreamReplayer replayer(options);
-      status = replayer.ReplayFile(stream_path_, sink_ptrs[0], resume)
-                   .status();
-    } else {
-      ShardedReplayerOptions options;
-      options.shards = shards;
-      options.total_rate_eps = 4e6;
-      if (checkpointing) {
-        options.checkpoint_path = checkpoint_path;
-        options.checkpoint_every = 300;
-        options.checkpoint_generations = 3;
-        options.record_sink_bytes = true;
-      }
-      ShardedReplayer replayer(options);
-      status = replayer.ReplayFile(stream_path_, sink_ptrs, resume).status();
+    ShardedReplayerOptions options;
+    options.shards = shards;
+    options.total_rate_eps = 1e6 * static_cast<double>(shards);
+    if (!checkpoint_path.empty()) {
+      options.checkpoint_path = checkpoint_path;
+      options.checkpoint_every = 300;
+      options.checkpoint_generations = 3;
+      options.record_sink_bytes = true;
     }
+    ShardedReplayer replayer(options);
+    const Status status =
+        replayer.ReplayFile(stream_path_, sink_ptrs, resume).status();
     for (std::FILE* f : files) std::fclose(f);
     return status;
   }

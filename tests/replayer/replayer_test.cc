@@ -1,10 +1,13 @@
-#include "replayer/replayer.h"
-
+// The single replayer of §5.1: a one-lane ShardedReplayer — one reader
+// thread, one paced emitter thread, one sink.
 #include <gtest/gtest.h>
-
-#include <filesystem>
 #include <unistd.h>
 
+#include <filesystem>
+#include <string>
+#include <vector>
+
+#include "replayer/sharded_replayer.h"
 #include "stream/stream_file.h"
 
 namespace graphtides {
@@ -16,16 +19,29 @@ std::vector<Event> VertexStream(size_t n) {
   return events;
 }
 
+ShardedReplayerOptions AtRate(double rate_eps) {
+  ShardedReplayerOptions options;
+  options.total_rate_eps = rate_eps;
+  return options;
+}
+
+/// Replays `events` on one lane and returns the run's aggregate stats.
+Result<ReplayStats> ReplayOneLane(const ShardedReplayerOptions& options,
+                                  const std::vector<Event>& events,
+                                  EventSink* sink) {
+  ShardedReplayer replayer(options);
+  Result<ShardedReplayStats> stats = replayer.Replay(events, {sink});
+  if (!stats.ok()) return stats.status();
+  return std::move(stats->aggregate);
+}
+
 TEST(ReplayerTest, DeliversAllEventsInOrder) {
-  ReplayerOptions options;
-  options.base_rate_eps = 1e6;
-  StreamReplayer replayer(options);
   std::vector<VertexId> seen;
   CallbackSink sink([&](const Event& e) {
     seen.push_back(e.vertex);
     return Status::OK();
   });
-  auto stats = replayer.Replay(VertexStream(1000), &sink);
+  auto stats = ReplayOneLane(AtRate(1e6), VertexStream(1000), &sink);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->events_delivered, 1000u);
   ASSERT_EQ(seen.size(), 1000u);
@@ -33,9 +49,6 @@ TEST(ReplayerTest, DeliversAllEventsInOrder) {
 }
 
 TEST(ReplayerTest, MarkersLoggedNotDelivered) {
-  ReplayerOptions options;
-  options.base_rate_eps = 1e6;
-  StreamReplayer replayer(options);
   std::vector<Event> events = VertexStream(10);
   events.insert(events.begin() + 5, Event::Marker("HALFWAY"));
   events.push_back(Event::Marker("END"));
@@ -45,7 +58,7 @@ TEST(ReplayerTest, MarkersLoggedNotDelivered) {
     ++delivered;
     return Status::OK();
   });
-  auto stats = replayer.Replay(events, &sink);
+  auto stats = ReplayOneLane(AtRate(1e6), events, &sink);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(delivered, 10u);
   EXPECT_EQ(stats->markers, 2u);
@@ -58,23 +71,17 @@ TEST(ReplayerTest, MarkersLoggedNotDelivered) {
 }
 
 TEST(ReplayerTest, AchievesTargetRateApproximately) {
-  ReplayerOptions options;
-  options.base_rate_eps = 20000.0;
-  StreamReplayer replayer(options);
   NullSink sink;
-  auto stats = replayer.Replay(VertexStream(4000), &sink);
+  auto stats = ReplayOneLane(AtRate(20000.0), VertexStream(4000), &sink);
   ASSERT_TRUE(stats.ok());
   EXPECT_NEAR(stats->AchievedRateEps(), 20000.0, 3000.0);
 }
 
 TEST(ReplayerTest, PauseControlDelaysStream) {
-  ReplayerOptions options;
-  options.base_rate_eps = 1e6;
-  StreamReplayer replayer(options);
   std::vector<Event> events = VertexStream(10);
   events.insert(events.begin() + 5, Event::Pause(Duration::FromMillis(50)));
   NullSink sink;
-  auto stats = replayer.Replay(events, &sink);
+  auto stats = ReplayOneLane(AtRate(1e6), events, &sink);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->controls, 1u);
   EXPECT_GE(stats->Elapsed().millis(), 50);
@@ -83,56 +90,46 @@ TEST(ReplayerTest, PauseControlDelaysStream) {
 TEST(ReplayerTest, SetRateControlChangesThroughput) {
   // 1000 events at 100k eps (10 ms), then SET_RATE 0.1 -> 100 more events
   // at 10k eps (10 ms). Without the control the run would take ~11 ms.
-  ReplayerOptions options;
-  options.base_rate_eps = 100000.0;
-  StreamReplayer replayer(options);
   std::vector<Event> events = VertexStream(1000);
   events.push_back(Event::SetRate(0.1));
   for (VertexId v = 0; v < 100; ++v) {
     events.push_back(Event::AddVertex(10000 + v));
   }
   NullSink sink;
-  auto stats = replayer.Replay(events, &sink);
+  auto stats = ReplayOneLane(AtRate(100000.0), events, &sink);
   ASSERT_TRUE(stats.ok());
   EXPECT_GE(stats->Elapsed().millis(), 18);
 }
 
 TEST(ReplayerTest, ControlsIgnoredWhenDisabled) {
-  ReplayerOptions options;
-  options.base_rate_eps = 1e6;
+  ShardedReplayerOptions options = AtRate(1e6);
   options.honor_control_events = false;
-  StreamReplayer replayer(options);
   std::vector<Event> events = VertexStream(10);
   events.insert(events.begin() + 2, Event::Pause(Duration::FromSeconds(5.0)));
   NullSink sink;
-  auto stats = replayer.Replay(events, &sink);
+  auto stats = ReplayOneLane(options, events, &sink);
   ASSERT_TRUE(stats.ok());
   EXPECT_LT(stats->Elapsed().millis(), 1000);
   EXPECT_EQ(stats->controls, 1u);  // counted but not honored
 }
 
 TEST(ReplayerTest, SinkErrorAbortsRun) {
-  ReplayerOptions options;
-  options.base_rate_eps = 1e6;
-  StreamReplayer replayer(options);
   size_t delivered = 0;
   CallbackSink sink([&](const Event&) -> Status {
     if (++delivered == 50) return Status::IoError("sink broke");
     return Status::OK();
   });
-  auto stats = replayer.Replay(VertexStream(100000), &sink);
+  auto stats = ReplayOneLane(AtRate(1e6), VertexStream(100000), &sink);
   ASSERT_FALSE(stats.ok());
   EXPECT_TRUE(stats.status().IsIoError());
   EXPECT_EQ(delivered, 50u);
 }
 
 TEST(ReplayerTest, RateSeriesAccountsForAllEvents) {
-  ReplayerOptions options;
-  options.base_rate_eps = 100000.0;
+  ShardedReplayerOptions options = AtRate(100000.0);
   options.stats_bin = Duration::FromMillis(10);
-  StreamReplayer replayer(options);
   NullSink sink;
-  auto stats = replayer.Replay(VertexStream(5000), &sink);
+  auto stats = ReplayOneLane(options, VertexStream(5000), &sink);
   ASSERT_TRUE(stats.ok());
   size_t total = 0;
   for (const RateSample& sample : stats->rate_series) total += sample.events;
@@ -149,48 +146,45 @@ TEST(ReplayerTest, ReplayFileStreamsFromDisk) {
   events.push_back(Event::Marker("EOF_MARK"));
   ASSERT_TRUE(WriteStreamFile(path, events).ok());
 
-  ReplayerOptions options;
-  options.base_rate_eps = 1e6;
-  StreamReplayer replayer(options);
+  ShardedReplayer replayer(AtRate(1e6));
   size_t delivered = 0;
   CallbackSink sink([&](const Event&) {
     ++delivered;
     return Status::OK();
   });
-  auto stats = replayer.ReplayFile(path, &sink);
+  auto stats = replayer.ReplayFile(path, {&sink});
   std::filesystem::remove(path);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(delivered, 500u);
-  EXPECT_EQ(stats->markers, 1u);
+  EXPECT_EQ(stats->aggregate.markers, 1u);
 }
 
 TEST(ReplayerTest, ReplayMissingFileFails) {
-  StreamReplayer replayer(ReplayerOptions{});
+  ShardedReplayer replayer(ShardedReplayerOptions{});
   NullSink sink;
-  auto stats = replayer.ReplayFile("/nonexistent/file.gts", &sink);
+  auto stats = replayer.ReplayFile("/nonexistent/file.gts", {&sink});
   ASSERT_FALSE(stats.ok());
   EXPECT_TRUE(stats.status().IsIoError());
 }
 
 TEST(ReplayerTest, EmptyStreamFinishesCleanly) {
-  StreamReplayer replayer(ReplayerOptions{});
   NullSink sink;
-  auto stats = replayer.Replay({}, &sink);
+  auto stats = ReplayOneLane(ShardedReplayerOptions{}, {}, &sink);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->events_delivered, 0u);
 }
 
 TEST(ReplayerTest, QueueSmallerThanStreamStillDeliversAll) {
-  ReplayerOptions options;
-  options.base_rate_eps = 1e6;
-  options.queue_capacity = 16;  // force reader/emitter handoff pressure
-  StreamReplayer replayer(options);
+  // One-event batches overrun the lane queue many times over, forcing
+  // reader/emitter handoff pressure.
+  ShardedReplayerOptions options = AtRate(1e6);
+  options.batch_events = 1;
   size_t delivered = 0;
   CallbackSink sink([&](const Event&) {
     ++delivered;
     return Status::OK();
   });
-  auto stats = replayer.Replay(VertexStream(10000), &sink);
+  auto stats = ReplayOneLane(options, VertexStream(10000), &sink);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(delivered, 10000u);
 }

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "faults/chaos_sink.h"
-#include "replayer/replayer.h"
+#include "replayer/sharded_replayer.h"
 #include "replayer/tcp.h"
 #include "stream/event.h"
 
@@ -307,11 +307,11 @@ E2eOutcome RunChaoticTcpReplay() {
   events.reserve(kEvents);
   for (VertexId v = 0; v < kEvents; ++v) events.push_back(Event::AddVertex(v));
 
-  ReplayerOptions replay_options;
-  replay_options.base_rate_eps = 1e6;
-  StreamReplayer replayer(replay_options);
-  auto stats = replayer.Replay(events, &sink);
-  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+  ShardedReplayerOptions replay_options;
+  replay_options.total_rate_eps = 1e6;
+  ShardedReplayer replayer(replay_options);
+  auto run = replayer.Replay(events, {&sink});
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
   server.Stop();
   server.Join();
 
@@ -324,13 +324,14 @@ E2eOutcome RunChaoticTcpReplay() {
   out.lines = server.lines_received();
   out.connections = server.connections_served();
 
-  if (stats.ok()) {
-    EXPECT_EQ(stats->events_delivered, kEvents);
+  if (run.ok()) {
+    const ReplayStats& stats = run->aggregate;
+    EXPECT_EQ(stats.events_delivered, kEvents);
     // Replayer-visible telemetry reconciles with both layers' counters.
-    EXPECT_EQ(stats->telemetry.retries, out.retries);
-    EXPECT_EQ(stats->telemetry.reconnects, out.reconnects);
-    EXPECT_EQ(stats->telemetry.injected_failures, out.injected_failures);
-    EXPECT_EQ(stats->telemetry.injected_disconnects,
+    EXPECT_EQ(stats.telemetry.retries, out.retries);
+    EXPECT_EQ(stats.telemetry.reconnects, out.reconnects);
+    EXPECT_EQ(stats.telemetry.injected_failures, out.injected_failures);
+    EXPECT_EQ(stats.telemetry.injected_disconnects,
               out.injected_disconnects);
   }
   return out;

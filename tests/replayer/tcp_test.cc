@@ -12,7 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "replayer/replayer.h"
+#include "replayer/sharded_replayer.h"
 #include "stream/event.h"
 
 namespace graphtides {
@@ -75,13 +75,13 @@ TEST(TcpTest, ReplayerOverTcpEndToEnd) {
 
   TcpSink sink;
   ASSERT_TRUE(sink.Connect("127.0.0.1", *port).ok());
-  ReplayerOptions options;
-  options.base_rate_eps = 200000.0;
-  StreamReplayer replayer(options);
-  auto stats = replayer.Replay(events, &sink);
+  ShardedReplayerOptions options;
+  options.total_rate_eps = 200000.0;
+  ShardedReplayer replayer(options);
+  auto stats = replayer.Replay(events, {&sink});
   ASSERT_TRUE(stats.ok());
   server.Join();
-  EXPECT_EQ(stats->events_delivered, 5000u);
+  EXPECT_EQ(stats->aggregate.events_delivered, 5000u);
   EXPECT_EQ(server.lines_received(), 5000u);
 }
 
@@ -154,10 +154,10 @@ TEST(TcpTest, PeerDeathSurfacesAsStatusNotSigpipe) {
   for (VertexId v = 0; v < 100000; ++v) {
     events.push_back(Event::AddVertex(v));
   }
-  ReplayerOptions options;
-  options.base_rate_eps = 5e6;
-  StreamReplayer replayer(options);
-  auto stats = replayer.Replay(events, &sink);
+  ShardedReplayerOptions options;
+  options.total_rate_eps = 5e6;
+  ShardedReplayer replayer(options);
+  auto stats = replayer.Replay(events, {&sink});
 
   EXPECT_FALSE(stats.ok());  // the run aborted, the process survived
   server.Join();

@@ -143,7 +143,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -164,7 +163,6 @@
 #include "harness/telemetry/run_telemetry.h"
 #include "harness/telemetry/snapshotter.h"
 #include "replayer/checkpoint.h"
-#include "replayer/replayer.h"
 #include "replayer/resilient_sink.h"
 #include "replayer/sharded_replayer.h"
 #include "replayer/tcp.h"
@@ -424,8 +422,10 @@ int main(int argc, char** argv) {
   }
 
   CancellationToken cancel;
-  ReplayerOptions options;
-  options.base_rate_eps = *rate;
+  ShardedReplayerOptions options;
+  options.shards = shards;
+  options.total_rate_eps = *rate;
+  options.wire_format = v2_wire ? WireFormat::kV2 : WireFormat::kCsv;
   options.honor_control_events = !flags.GetBool("ignore-controls");
   options.cancel = &cancel;
   options.checkpoint_path = flags.GetString("checkpoint-file", "");
@@ -646,10 +646,8 @@ int main(int argc, char** argv) {
     telemetry->UpdateRecoveryCounters(rec);
   }
 
-  // The v2 wire handshake lives on the sharded serialized path, so v2-wire
-  // runs route through ShardedReplayer even at --shards 1 (a single lane).
-  // Decorated chains never opt in — their outer sink declines negotiation
-  // and the lane stays on CSV.
+  // Decorated chains never opt in to the v2 wire — their outer sink
+  // declines negotiation and the lane stays on CSV.
   if (v2_wire && (chaos_enabled || resilience_enabled)) {
     std::fprintf(stderr,
                  "gt_replay: --wire-format v2 with --chaos-*/--retry-* "
@@ -658,38 +656,12 @@ int main(int argc, char** argv) {
   // Live rate retargeting: the capacity controller publishes new offered
   // rates here; the lanes poll it and re-anchor their pacing in place.
   std::atomic<double> rate_target{find_capacity ? *capacity_start : *rate};
-  std::optional<StreamReplayer> single;
-  std::optional<ShardedReplayer> sharded;
-  std::function<uint64_t()> progress_fn;
-  if (shards == 1 && !v2_wire) {
-    options.telemetry = telemetry.get();
-    if (find_capacity) {
-      options.base_rate_eps = *capacity_start;
-      options.rate_target_eps = &rate_target;
-    }
-    single.emplace(options);
-    progress_fn = [&] { return single->progress(); };
-  } else {
-    ShardedReplayerOptions sharded_options;
-    sharded_options.shards = shards;
-    sharded_options.wire_format = v2_wire ? WireFormat::kV2 : WireFormat::kCsv;
-    sharded_options.total_rate_eps = *rate;
-    sharded_options.honor_control_events = options.honor_control_events;
-    sharded_options.cancel = &cancel;
-    sharded_options.checkpoint_path = options.checkpoint_path;
-    sharded_options.checkpoint_every = options.checkpoint_every;
-    sharded_options.checkpoint_generations = options.checkpoint_generations;
-    sharded_options.stop_after_events = options.stop_after_events;
-    sharded_options.checkpoint_rng = options.checkpoint_rng;
-    sharded_options.record_sink_bytes = options.record_sink_bytes;
-    sharded_options.telemetry = telemetry.get();
-    if (find_capacity) {
-      sharded_options.total_rate_eps = *capacity_start;
-      sharded_options.rate_target_eps = &rate_target;
-    }
-    sharded.emplace(sharded_options);
-    progress_fn = [&] { return sharded->progress(); };
+  options.telemetry = telemetry.get();
+  if (find_capacity) {
+    options.total_rate_eps = *capacity_start;
+    options.rate_target_eps = &rate_target;
   }
+  ShardedReplayer replayer(options);
 
   RunWatchdog watchdog([&] {
     WatchdogOptions w;
@@ -697,7 +669,7 @@ int main(int argc, char** argv) {
     return w;
   }());
   if (*watchdog_ms > 0) {
-    watchdog.Arm(progress_fn,
+    watchdog.Arm([&replayer] { return replayer.progress(); },
                  [&cancel, &tcp_sinks](uint64_t last, Duration stalled) {
                    cancel.RequestCancel("watchdog: no progress past event " +
                                         std::to_string(last) + " for " +
@@ -763,18 +735,9 @@ int main(int argc, char** argv) {
     });
   }
 
-  std::vector<ReplayStats> per_shard_stats;
   if (snapshotter.has_value()) snapshotter->Start();
-  Result<ReplayStats> stats = [&]() -> Result<ReplayStats> {
-    if (single.has_value()) {
-      return single->ReplayFile(in, lane_sinks[0], resume ? &*resume : nullptr);
-    }
-    auto sharded_stats =
-        sharded->ReplayFile(in, lane_sinks, resume ? &*resume : nullptr);
-    if (!sharded_stats.ok()) return sharded_stats.status();
-    per_shard_stats = std::move(sharded_stats->per_shard);
-    return std::move(sharded_stats->aggregate);
-  }();
+  Result<ShardedReplayStats> stats =
+      replayer.ReplayFile(in, lane_sinks, resume ? &*resume : nullptr);
   watchdog.Disarm();
   replay_done.store(true, std::memory_order_release);
   if (capacity_thread.joinable()) capacity_thread.join();
@@ -814,28 +777,29 @@ int main(int argc, char** argv) {
   }
 
   if (stats.ok()) {
+    const ReplayStats& total = stats->aggregate;
     std::fprintf(stderr,
                  "gt_replay: %zu events in %.3f s (%.0f ev/s achieved; "
                  "%zu markers, %zu controls)\n",
-                 stats->events_delivered, stats->Elapsed().seconds(),
-                 stats->AchievedRateEps(), stats->markers, stats->controls);
-    for (size_t s = 0; s < per_shard_stats.size(); ++s) {
+                 total.events_delivered, total.Elapsed().seconds(),
+                 total.AchievedRateEps(), total.markers, total.controls);
+    for (size_t s = 0; shards > 1 && s < shards; ++s) {
       std::fprintf(stderr, "gt_replay:   shard %zu: %zu events (%.0f ev/s)\n",
-                   s, per_shard_stats[s].events_delivered,
-                   per_shard_stats[s].AchievedRateEps());
+                   s, stats->per_shard[s].events_delivered,
+                   stats->per_shard[s].AchievedRateEps());
     }
-    if (stats->stopped_early) {
+    if (total.stopped_early) {
       std::fprintf(stderr, "gt_replay: stopped early at --stop-after %llu\n",
                    static_cast<unsigned long long>(options.stop_after_events));
     }
-    if (stats->checkpoints_written > 0) {
+    if (total.checkpoints_written > 0) {
       std::fprintf(stderr, "gt_replay: %llu checkpoint(s) -> %s\n",
-                   static_cast<unsigned long long>(stats->checkpoints_written),
+                   static_cast<unsigned long long>(total.checkpoints_written),
                    options.checkpoint_path.c_str());
     }
     if (chaos_enabled || resilience_enabled) {
       std::fprintf(stderr, "gt_replay: faults: %s\n",
-                   stats->telemetry.ToString().c_str());
+                   total.telemetry.ToString().c_str());
     }
   }
   if (telemetry != nullptr) {
@@ -902,7 +866,8 @@ int main(int argc, char** argv) {
     const Timestamp now_wall = wall.Now();
     MonotonicClock mono;
     const Timestamp now_mono = mono.Now();
-    for (const MarkerRecord& m : stats->marker_log) {
+    const ReplayStats& total = stats->aggregate;
+    for (const MarkerRecord& m : total.marker_log) {
       // Rebase monotonic marker times onto the wall clock so logs from
       // different machines merge (§4.1: synchronized wall clocks).
       const Timestamp wall_time = now_wall - (now_mono - m.time);
@@ -910,7 +875,7 @@ int main(int argc, char** argv) {
       std::fprintf(f, "%s\n", record.ToCsvLine().c_str());
     }
     // Fault telemetry as end-of-run records, mergeable by the collector.
-    const SinkTelemetry& t = stats->telemetry;
+    const SinkTelemetry& t = total.telemetry;
     const std::vector<std::pair<std::string, double>> telemetry_metrics = {
         {"delivery_retries", static_cast<double>(t.retries)},
         {"delivery_reconnects", static_cast<double>(t.reconnects)},
@@ -929,7 +894,7 @@ int main(int argc, char** argv) {
     }
     std::fclose(f);
     std::fprintf(stderr, "gt_replay: %zu marker + %zu telemetry records -> %s\n",
-                 stats->marker_log.size(), telemetry_metrics.size(),
+                 total.marker_log.size(), telemetry_metrics.size(),
                  marker_log.c_str());
   }
   return 0;
