@@ -89,8 +89,14 @@ TEST(ParseCsvLineTest, RejectsNulInsideQuotedField) {
 }
 
 struct RoundTripCase {
+  std::string label;
   std::vector<std::string> fields;
 };
+
+// The printed parameter ends up in each ctest name. Without this printer
+// gtest dumps the object's raw bytes, heap pointers included, so every case
+// got the same name and that name changed from one build to the next.
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << c.label; }
 
 class CsvRoundTripTest : public ::testing::TestWithParam<RoundTripCase> {};
 
@@ -104,12 +110,13 @@ TEST_P(CsvRoundTripTest, FormatThenParseIsIdentity) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, CsvRoundTripTest,
     ::testing::Values(
-        RoundTripCase{{"a", "b", "c"}},
-        RoundTripCase{{"", "", ""}},
-        RoundTripCase{{"with,comma", "with\"quote", "with\nnewline"}},
-        RoundTripCase{{R"({"k":"v,x"})", "1-2", ""}},
-        RoundTripCase{{"\"\"", ",", "\""}},
-        RoundTripCase{{"MARKER", "", "PHASE_1 done, next up"}}));
+        RoundTripCase{"plain", {"a", "b", "c"}},
+        RoundTripCase{"all_empty", {"", "", ""}},
+        RoundTripCase{"comma_quote_newline",
+                      {"with,comma", "with\"quote", "with\nnewline"}},
+        RoundTripCase{"json_payload", {R"({"k":"v,x"})", "1-2", ""}},
+        RoundTripCase{"quotes_only", {"\"\"", ",", "\""}},
+        RoundTripCase{"marker", {"MARKER", "", "PHASE_1 done, next up"}}));
 
 }  // namespace
 }  // namespace graphtides
