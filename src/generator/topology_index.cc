@@ -56,42 +56,6 @@ thread_local BiasWeightCache g_bias_cache;
 
 }  // namespace
 
-void TopologyIndex::AdjList::Add(VertexId v) {
-  neighbors.push_back(v);
-  if (indexed) {
-    slot.emplace(v, static_cast<uint32_t>(neighbors.size() - 1));
-  } else if (neighbors.size() > kAdjIndexThreshold) {
-    slot.reserve(neighbors.size() * 2);
-    for (size_t i = 0; i < neighbors.size(); ++i) {
-      slot.emplace(neighbors[i], static_cast<uint32_t>(i));
-    }
-    indexed = true;
-  }
-}
-
-void TopologyIndex::AdjList::Remove(VertexId v) {
-  if (indexed) {
-    auto it = slot.find(v);
-    if (it == slot.end()) return;
-    const size_t pos = it->second;
-    const VertexId last = neighbors.back();
-    neighbors[pos] = last;
-    slot[last] = static_cast<uint32_t>(pos);
-    neighbors.pop_back();
-    slot.erase(v);
-    return;
-  }
-  // Backward scan: RemoveVertex cascades drain from the back, so the hit is
-  // usually the first probe.
-  for (size_t i = neighbors.size(); i-- > 0;) {
-    if (neighbors[i] == v) {
-      neighbors[i] = neighbors.back();
-      neighbors.pop_back();
-      return;
-    }
-  }
-}
-
 Status TopologyIndex::AddVertex(VertexId id) {
   auto [it, inserted] = vertex_pos_.try_emplace(id, vertices_.size());
   if (!inserted) {
@@ -114,12 +78,12 @@ Status TopologyIndex::RemoveVertex(VertexId id) {
   // without copying it first. Edge removal never moves vertex slots, so
   // `pos` stays valid throughout.
   const size_t pos = pos_it->second;
-  while (!adj_[pos].out.neighbors.empty()) {
-    Status st = RemoveEdge(id, adj_[pos].out.neighbors.back());
+  while (!adj_[pos].out.empty()) {
+    Status st = RemoveEdge(id, adj_[pos].out.back());
     (void)st;
   }
-  while (!adj_[pos].in.neighbors.empty()) {
-    Status st = RemoveEdge(adj_[pos].in.neighbors.back(), id);
+  while (!adj_[pos].in.empty()) {
+    Status st = RemoveEdge(adj_[pos].in.back(), id);
     (void)st;
   }
   // Swap-remove from the dense vertex vector (adj_ moves in lockstep).

@@ -12,6 +12,7 @@
 
 #include "common/random.h"
 #include "common/status.h"
+#include "graph/flat_adjacency.h"
 #include "stream/event.h"
 
 namespace graphtides {
@@ -19,11 +20,8 @@ namespace graphtides {
 /// \brief Mutable topology with sampling support (no states, generator-side).
 ///
 /// Storage is fully swap-remove based: dense vertex/edge vectors for O(1)
-/// uniform sampling, and flat per-vertex adjacency vectors instead of hash
-/// sets. Small adjacency lists (the overwhelming majority under power-law
-/// degree distributions) are scanned linearly; a list that grows past
-/// kAdjIndexThreshold lazily builds a neighbor→slot map so removal stays
-/// O(1) on hubs too.
+/// uniform sampling, and per-vertex FlatAdjList neighbor lists (shared with
+/// Graph, see graph/flat_adjacency.h) instead of hash sets.
 class TopologyIndex {
  public:
   // --- Mutation (preconditions identical to Graph) ----------------------
@@ -74,9 +72,6 @@ class TopologyIndex {
   /// All vertex ids (dense storage order; mutates across removals).
   const std::vector<VertexId>& vertex_ids() const { return vertices_; }
 
-  /// Adjacency lists above this length maintain a neighbor→slot index.
-  static constexpr size_t kAdjIndexThreshold = 32;
-
  private:
   struct EdgeIdHash {
     size_t operator()(const EdgeId& e) const {
@@ -86,21 +81,9 @@ class TopologyIndex {
     }
   };
 
-  /// Flat neighbor list with swap-remove and a lazily built slot index for
-  /// long (hub) lists.
-  struct AdjList {
-    std::vector<VertexId> neighbors;
-    std::unordered_map<VertexId, uint32_t> slot;  // valid iff indexed
-    bool indexed = false;
-
-    void Add(VertexId v);
-    void Remove(VertexId v);
-    size_t size() const { return neighbors.size(); }
-  };
-
   struct VertexAdj {
-    AdjList out;
-    AdjList in;
+    FlatAdjList<VertexId> out;
+    FlatAdjList<VertexId> in;
   };
 
   // Swap-remove vectors give O(1) uniform sampling under churn. adj_ is

@@ -1,13 +1,12 @@
 // Compressed sparse row (CSR) snapshot of a Graph. Batch algorithms
 // (the reference computations of Table 1 and the exact-result baselines of
 // §4.3 "Computation Metrics") run on this immutable, cache-friendly view
-// rather than on the hash-based mutable Graph.
+// rather than on the mutable, slot-indexed Graph.
 #ifndef GRAPHTIDES_GRAPH_CSR_H_
 #define GRAPHTIDES_GRAPH_CSR_H_
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
@@ -16,9 +15,10 @@ namespace graphtides {
 
 /// \brief Immutable CSR snapshot with both out- and in-adjacency.
 ///
-/// Vertices are re-indexed to dense [0, n); the mapping to original
-/// VertexIds is retained in both directions. Neighbor lists are sorted by
-/// dense index, which makes intersections (triangle counting) linear.
+/// Vertices are re-indexed to dense [0, n) in ascending VertexId order;
+/// IndexOf maps back by binary search over the sorted ids. Neighbor lists
+/// are sorted by dense index, which makes intersections (triangle
+/// counting) linear.
 class CsrGraph {
  public:
   /// Index type for dense vertex numbering.
@@ -37,6 +37,7 @@ class CsrGraph {
   /// Original VertexId for a dense index.
   VertexId IdOf(Index idx) const { return ids_[idx]; }
   /// Dense index for an original VertexId; false if not present.
+  /// O(log n).
   bool IndexOf(VertexId id, Index* out) const;
 
   std::span<const Index> OutNeighbors(Index v) const {
@@ -62,11 +63,10 @@ class CsrGraph {
   const std::vector<size_t>& in_offsets() const { return in_offsets_; }
 
  private:
-  std::vector<VertexId> ids_;                      // dense index -> id
-  std::unordered_map<VertexId, Index> index_of_;   // id -> dense index
-  std::vector<size_t> out_offsets_;                // n+1 entries
+  std::vector<VertexId> ids_;        // dense index -> id, ascending
+  std::vector<size_t> out_offsets_;  // n+1 entries
   std::vector<Index> out_targets_;
-  std::vector<size_t> in_offsets_;                 // n+1 entries
+  std::vector<size_t> in_offsets_;   // n+1 entries
   std::vector<Index> in_targets_;
 };
 

@@ -10,42 +10,75 @@ std::string EdgeName(VertexId src, VertexId dst) {
 
 }  // namespace
 
+const Graph::VertexRecord* Graph::Find(VertexId id) const {
+  auto it = slot_of_.find(id);
+  return it == slot_of_.end() ? nullptr : &slots_[it->second];
+}
+
+size_t Graph::FindEdge(VertexId src, VertexId dst, Slot* src_slot) const {
+  auto src_it = slot_of_.find(src);
+  if (src_it == slot_of_.end()) return kNoEdge;
+  auto dst_it = slot_of_.find(dst);
+  if (dst_it == slot_of_.end()) return kNoEdge;
+  *src_slot = src_it->second;
+  return slots_[src_it->second].out.Find(dst_it->second);
+}
+
+void Graph::RemoveOutAt(VertexRecord& record, size_t pos) {
+  record.out.RemoveAt(pos);
+  record.out_state[pos] = std::move(record.out_state.back());
+  record.out_state.pop_back();
+}
+
 Status Graph::AddVertex(VertexId id, std::string state) {
-  auto [it, inserted] = vertices_.try_emplace(id);
+  auto [it, inserted] = slot_of_.try_emplace(id, 0);
   if (!inserted) {
     return Status::PreconditionFailed("vertex already exists: " +
                                       std::to_string(id));
   }
-  it->second.state = std::move(state);
+  if (free_slots_.empty()) {
+    it->second = static_cast<Slot>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    it->second = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  VertexRecord& record = slots_[it->second];
+  record.id = id;
+  record.state = std::move(state);
+  record.live = true;
   return Status::OK();
 }
 
 Status Graph::RemoveVertex(VertexId id) {
-  auto it = vertices_.find(id);
-  if (it == vertices_.end()) {
+  auto it = slot_of_.find(id);
+  if (it == slot_of_.end()) {
     return Status::PreconditionFailed("vertex does not exist: " +
                                       std::to_string(id));
   }
-  // Cascade-remove incident edges.
-  for (const auto& [dst, state] : it->second.out) {
-    vertices_[dst].in.erase(id);
-    --num_edges_;
+  // Cascade-remove incident edges from the neighbors' lists; this
+  // vertex's own lists go with its record.
+  const Slot slot = it->second;
+  VertexRecord& record = slots_[slot];
+  for (Slot dst : record.out) slots_[dst].in.Remove(slot);
+  for (Slot src : record.in) {
+    VertexRecord& from = slots_[src];
+    RemoveOutAt(from, from.out.Find(slot));
   }
-  for (VertexId src : it->second.in) {
-    vertices_[src].out.erase(id);
-    --num_edges_;
-  }
-  vertices_.erase(it);
+  num_edges_ -= record.out.size() + record.in.size();
+  record = VertexRecord();
+  free_slots_.push_back(slot);
+  slot_of_.erase(it);
   return Status::OK();
 }
 
 Status Graph::UpdateVertexState(VertexId id, std::string state) {
-  auto it = vertices_.find(id);
-  if (it == vertices_.end()) {
+  auto it = slot_of_.find(id);
+  if (it == slot_of_.end()) {
     return Status::PreconditionFailed("vertex does not exist: " +
                                       std::to_string(id));
   }
-  it->second.state = std::move(state);
+  slots_[it->second].state = std::move(state);
   return Status::OK();
 }
 
@@ -54,50 +87,50 @@ Status Graph::AddEdge(VertexId src, VertexId dst, std::string state) {
     return Status::PreconditionFailed("self-loops are not allowed: " +
                                       EdgeName(src, dst));
   }
-  auto src_it = vertices_.find(src);
-  if (src_it == vertices_.end()) {
+  auto src_it = slot_of_.find(src);
+  if (src_it == slot_of_.end()) {
     return Status::PreconditionFailed("edge source does not exist: " +
                                       std::to_string(src));
   }
-  auto dst_it = vertices_.find(dst);
-  if (dst_it == vertices_.end()) {
+  auto dst_it = slot_of_.find(dst);
+  if (dst_it == slot_of_.end()) {
     return Status::PreconditionFailed("edge destination does not exist: " +
                                       std::to_string(dst));
   }
-  auto [edge_it, inserted] = src_it->second.out.try_emplace(dst);
-  if (!inserted) {
+  VertexRecord& from = slots_[src_it->second];
+  if (from.out.Find(dst_it->second) != kNoEdge) {
     return Status::PreconditionFailed("edge already exists: " +
                                       EdgeName(src, dst));
   }
-  edge_it->second = std::move(state);
-  dst_it->second.in.insert(src);
+  from.out.Add(dst_it->second);
+  from.out_state.push_back(std::move(state));
+  slots_[dst_it->second].in.Add(src_it->second);
   ++num_edges_;
   return Status::OK();
 }
 
 Status Graph::RemoveEdge(VertexId src, VertexId dst) {
-  auto src_it = vertices_.find(src);
-  if (src_it == vertices_.end() || src_it->second.out.erase(dst) == 0) {
+  Slot src_slot = 0;
+  const size_t pos = FindEdge(src, dst, &src_slot);
+  if (pos == kNoEdge) {
     return Status::PreconditionFailed("edge does not exist: " +
                                       EdgeName(src, dst));
   }
-  vertices_[dst].in.erase(src);
+  VertexRecord& from = slots_[src_slot];
+  slots_[from.out[pos]].in.Remove(src_slot);
+  RemoveOutAt(from, pos);
   --num_edges_;
   return Status::OK();
 }
 
 Status Graph::UpdateEdgeState(VertexId src, VertexId dst, std::string state) {
-  auto src_it = vertices_.find(src);
-  if (src_it == vertices_.end()) {
+  Slot src_slot = 0;
+  const size_t pos = FindEdge(src, dst, &src_slot);
+  if (pos == kNoEdge) {
     return Status::PreconditionFailed("edge does not exist: " +
                                       EdgeName(src, dst));
   }
-  auto edge_it = src_it->second.out.find(dst);
-  if (edge_it == src_it->second.out.end()) {
-    return Status::PreconditionFailed("edge does not exist: " +
-                                      EdgeName(src, dst));
-  }
-  edge_it->second = std::move(state);
+  slots_[src_slot].out_state[pos] = std::move(state);
   return Status::OK();
 }
 
@@ -124,13 +157,18 @@ Status Graph::Apply(const Event& event) {
 }
 
 Status Graph::ApplyAll(const std::vector<Event>& events) {
-  // Pre-size the vertex table: rehash churn dominates large snapshot
-  // replays otherwise (every rehash rebuilds every bucket chain).
+  // Pre-size the id map and the slot vector: rehash and reallocation churn
+  // dominate large snapshot replays otherwise.
   size_t added_vertices = 0;
   for (const Event& e : events) {
     if (e.type == EventType::kAddVertex) ++added_vertices;
   }
-  if (added_vertices > 0) vertices_.reserve(vertices_.size() + added_vertices);
+  if (added_vertices > 0) {
+    slot_of_.reserve(slot_of_.size() + added_vertices);
+    if (added_vertices > free_slots_.size()) {
+      slots_.reserve(slots_.size() + added_vertices - free_slots_.size());
+    }
+  }
   for (size_t i = 0; i < events.size(); ++i) {
     Status st = Apply(events[i]);
     if (!st.ok()) {
@@ -141,88 +179,98 @@ Status Graph::ApplyAll(const std::vector<Event>& events) {
 }
 
 void Graph::Clear() {
-  vertices_.clear();
+  slot_of_.clear();
+  slots_.clear();
+  free_slots_.clear();
   num_edges_ = 0;
 }
 
 bool Graph::HasEdge(VertexId src, VertexId dst) const {
-  auto it = vertices_.find(src);
-  return it != vertices_.end() && it->second.out.contains(dst);
+  Slot src_slot = 0;
+  return FindEdge(src, dst, &src_slot) != kNoEdge;
 }
 
 Result<std::string> Graph::GetVertexState(VertexId id) const {
-  auto it = vertices_.find(id);
-  if (it == vertices_.end()) {
+  const VertexRecord* record = Find(id);
+  if (record == nullptr) {
     return Status::NotFound("vertex does not exist: " + std::to_string(id));
   }
-  return it->second.state;
+  return record->state;
 }
 
 Result<std::string> Graph::GetEdgeState(VertexId src, VertexId dst) const {
-  auto it = vertices_.find(src);
-  if (it != vertices_.end()) {
-    auto edge_it = it->second.out.find(dst);
-    if (edge_it != it->second.out.end()) return edge_it->second;
+  Slot src_slot = 0;
+  const size_t pos = FindEdge(src, dst, &src_slot);
+  if (pos == kNoEdge) {
+    return Status::NotFound("edge does not exist: " + EdgeName(src, dst));
   }
-  return Status::NotFound("edge does not exist: " + EdgeName(src, dst));
+  return slots_[src_slot].out_state[pos];
 }
 
 Result<size_t> Graph::OutDegree(VertexId id) const {
-  auto it = vertices_.find(id);
-  if (it == vertices_.end()) {
+  const VertexRecord* record = Find(id);
+  if (record == nullptr) {
     return Status::NotFound("vertex does not exist: " + std::to_string(id));
   }
-  return it->second.out.size();
+  return record->out.size();
 }
 
 Result<size_t> Graph::InDegree(VertexId id) const {
-  auto it = vertices_.find(id);
-  if (it == vertices_.end()) {
+  const VertexRecord* record = Find(id);
+  if (record == nullptr) {
     return Status::NotFound("vertex does not exist: " + std::to_string(id));
   }
-  return it->second.in.size();
+  return record->in.size();
 }
 
 Result<size_t> Graph::Degree(VertexId id) const {
-  auto it = vertices_.find(id);
-  if (it == vertices_.end()) {
+  const VertexRecord* record = Find(id);
+  if (record == nullptr) {
     return Status::NotFound("vertex does not exist: " + std::to_string(id));
   }
-  return it->second.out.size() + it->second.in.size();
+  return record->out.size() + record->in.size();
 }
 
 std::vector<VertexId> Graph::VertexIds() const {
   std::vector<VertexId> ids;
-  ids.reserve(vertices_.size());
-  for (const auto& [id, record] : vertices_) ids.push_back(id);
+  ids.reserve(slot_of_.size());
+  for (const VertexRecord& record : slots_) {
+    if (record.live) ids.push_back(record.id);
+  }
   return ids;
 }
 
 void Graph::ForEachVertex(
     const std::function<void(VertexId, const std::string&)>& fn) const {
-  for (const auto& [id, record] : vertices_) fn(id, record.state);
+  for (const VertexRecord& record : slots_) {
+    if (record.live) fn(record.id, record.state);
+  }
 }
 
 void Graph::ForEachOutEdge(
     VertexId src,
     const std::function<void(VertexId, const std::string&)>& fn) const {
-  auto it = vertices_.find(src);
-  if (it == vertices_.end()) return;
-  for (const auto& [dst, state] : it->second.out) fn(dst, state);
+  const VertexRecord* record = Find(src);
+  if (record == nullptr) return;
+  for (size_t i = 0; i < record->out.size(); ++i) {
+    fn(slots_[record->out[i]].id, record->out_state[i]);
+  }
 }
 
 void Graph::ForEachInEdge(VertexId dst,
                           const std::function<void(VertexId)>& fn) const {
-  auto it = vertices_.find(dst);
-  if (it == vertices_.end()) return;
-  for (VertexId src : it->second.in) fn(src);
+  const VertexRecord* record = Find(dst);
+  if (record == nullptr) return;
+  for (Slot src : record->in) fn(slots_[src].id);
 }
 
 void Graph::ForEachEdge(const std::function<void(VertexId, VertexId,
                                                  const std::string&)>& fn)
     const {
-  for (const auto& [src, record] : vertices_) {
-    for (const auto& [dst, state] : record.out) fn(src, dst, state);
+  for (const VertexRecord& record : slots_) {
+    for (size_t i = 0; i < record.out.size(); ++i) {
+      fn(record.id, slots_[record.out[i]].id, record.out_state[i]);
+    }
   }
 }
 

@@ -9,13 +9,14 @@
 #ifndef GRAPHTIDES_GRAPH_GRAPH_H_
 #define GRAPHTIDES_GRAPH_GRAPH_H_
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
+#include "graph/flat_adjacency.h"
 #include "stream/event.h"
 
 namespace graphtides {
@@ -25,6 +26,13 @@ namespace graphtides {
 /// All mutating operations enforce the stream preconditions and return
 /// PreconditionFailed without modifying the graph when violated; a stream
 /// that passes StreamValidator applies cleanly.
+///
+/// Storage is slot-indexed: a hash map takes each vertex id to a stable
+/// slot, and each slot holds the vertex state plus flat adjacency lists of
+/// neighbor slots (FlatAdjList). Removed slots are reused, most recently
+/// freed first. Iteration (VertexIds, ForEach*) runs in slot order, which
+/// depends only on the sequence of applied operations — deterministic, but
+/// neither sorted nor insertion order once vertices are removed.
 class Graph {
  public:
   Graph() = default;
@@ -50,10 +58,10 @@ class Graph {
 
   // --- Inspection -------------------------------------------------------
 
-  size_t num_vertices() const { return vertices_.size(); }
+  size_t num_vertices() const { return slot_of_.size(); }
   size_t num_edges() const { return num_edges_; }
 
-  bool HasVertex(VertexId id) const { return vertices_.contains(id); }
+  bool HasVertex(VertexId id) const { return slot_of_.contains(id); }
   bool HasEdge(VertexId src, VertexId dst) const;
 
   Result<std::string> GetVertexState(VertexId id) const;
@@ -65,7 +73,7 @@ class Graph {
   /// OutDegree + InDegree.
   Result<size_t> Degree(VertexId id) const;
 
-  /// Snapshot of all vertex IDs (unordered).
+  /// Snapshot of all vertex IDs, in slot order.
   std::vector<VertexId> VertexIds() const;
 
   /// Invokes `fn(id, state)` for every vertex.
@@ -91,19 +99,36 @@ class Graph {
   Graph Clone() const { return *this; }
 
  private:
+  using Slot = uint32_t;
+
   struct VertexRecord {
+    VertexId id = 0;
     std::string state;
-    // Out-adjacency carries the edge state; in-adjacency is id-only.
-    std::unordered_map<VertexId, std::string> out;
-    std::unordered_set<VertexId> in;
+    // Out-adjacency carries the edge states in a parallel vector;
+    // in-adjacency is slot-only.
+    FlatAdjList<Slot> out;
+    std::vector<std::string> out_state;
+    FlatAdjList<Slot> in;
+    bool live = false;  // false for a slot on the free list
   };
 
-  // CsrGraph::FromGraph reads the vertex records directly: the snapshot
-  // build walks every adjacency set once per vertex, and going through the
-  // std::function iteration API would cost an allocation per vertex.
+  static constexpr size_t kNoEdge = FlatAdjList<Slot>::kNotFound;
+
+  /// Record of a live vertex, or nullptr.
+  const VertexRecord* Find(VertexId id) const;
+  /// Position of the edge in the out-list of `src`, whose slot goes to
+  /// `*src_slot`; kNoEdge if the edge does not exist.
+  size_t FindEdge(VertexId src, VertexId dst, Slot* src_slot) const;
+  /// Drops the out-edge at `pos` of `record` together with its state.
+  static void RemoveOutAt(VertexRecord& record, size_t pos);
+
+  // CsrGraph::FromGraph reads the slots directly: the snapshot build maps
+  // every neighbor slot to its dense index through a plain array.
   friend class CsrGraph;
 
-  std::unordered_map<VertexId, VertexRecord> vertices_;
+  std::unordered_map<VertexId, Slot> slot_of_;
+  std::vector<VertexRecord> slots_;
+  std::vector<Slot> free_slots_;
   size_t num_edges_ = 0;
 };
 

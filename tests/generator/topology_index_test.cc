@@ -53,7 +53,7 @@ TEST(TopologyIndexTest, HighDegreeHubCrossesIndexThreshold) {
   TopologyIndex topo;
   const VertexId hub = 0;
   ASSERT_TRUE(topo.AddVertex(hub).ok());
-  const size_t fan = TopologyIndex::kAdjIndexThreshold * 3;
+  const size_t fan = kAdjIndexThreshold * 3;
   for (VertexId v = 1; v <= fan; ++v) {
     ASSERT_TRUE(topo.AddVertex(v).ok());
     ASSERT_TRUE(topo.AddEdge(hub, v).ok());

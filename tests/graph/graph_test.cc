@@ -3,7 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/random.h"
 #include "stream/validator.h"
 
 namespace graphtides {
@@ -178,23 +185,228 @@ TEST(GraphTest, ClearResets) {
   EXPECT_TRUE(g.AddVertex(1).ok());
 }
 
-TEST(GraphTest, ValidatorAgreementOnRandomStream) {
-  // The Graph and the StreamValidator must accept exactly the same streams.
-  Graph g;
-  StreamValidator v;
-  std::vector<Event> events;
-  for (VertexId i = 0; i < 20; ++i) events.push_back(Event::AddVertex(i));
-  for (VertexId i = 0; i < 19; ++i) events.push_back(Event::AddEdge(i, i + 1));
-  events.push_back(Event::RemoveVertex(10));
-  events.push_back(Event::AddEdge(9, 11));
-  events.push_back(Event::AddEdge(9, 11));   // duplicate -> both reject
-  events.push_back(Event::RemoveEdge(0, 1));
-  events.push_back(Event::UpdateVertex(5, "x"));
-  for (const Event& e : events) {
-    EXPECT_EQ(g.Apply(e).ok(), v.Check(e).ok()) << e;
+/// std::map/std::set reference for the random-stream test: which events
+/// are valid, and what the graph holds afterwards.
+struct ReferenceGraph {
+  std::map<VertexId, std::string> vertices;
+  std::map<std::pair<VertexId, VertexId>, std::string> edges;
+
+  size_t OutDegree(VertexId v) const {
+    return std::count_if(edges.begin(), edges.end(),
+                         [v](const auto& e) { return e.first.first == v; });
   }
-  EXPECT_EQ(g.num_vertices(), v.num_vertices());
-  EXPECT_EQ(g.num_edges(), v.num_edges());
+  size_t InDegree(VertexId v) const {
+    return std::count_if(edges.begin(), edges.end(),
+                         [v](const auto& e) { return e.first.second == v; });
+  }
+
+  /// Applies `e` if it is valid; returns whether it was.
+  bool Apply(const Event& e) {
+    const VertexId src = e.edge.src, dst = e.edge.dst;
+    switch (e.type) {
+      case EventType::kAddVertex:
+        return vertices.try_emplace(e.vertex, e.payload).second;
+      case EventType::kRemoveVertex:
+        if (vertices.erase(e.vertex) == 0) return false;
+        std::erase_if(edges, [&](const auto& edge) {
+          return edge.first.first == e.vertex || edge.first.second == e.vertex;
+        });
+        return true;
+      case EventType::kUpdateVertex: {
+        auto it = vertices.find(e.vertex);
+        if (it == vertices.end()) return false;
+        it->second = e.payload;
+        return true;
+      }
+      case EventType::kAddEdge:
+        if (src == dst || !vertices.contains(src) || !vertices.contains(dst)) {
+          return false;
+        }
+        return edges.try_emplace({src, dst}, e.payload).second;
+      case EventType::kRemoveEdge:
+        return edges.erase({src, dst}) == 1;
+      case EventType::kUpdateEdge: {
+        auto it = edges.find({src, dst});
+        if (it == edges.end()) return false;
+        it->second = e.payload;
+        return true;
+      }
+      default:
+        return true;
+    }
+  }
+};
+
+/// Compares every observable of `g` with `ref` over the id space [0, ids).
+void ExpectSameGraph(const Graph& g, const ReferenceGraph& ref, VertexId ids) {
+  ASSERT_EQ(g.num_vertices(), ref.vertices.size());
+  ASSERT_EQ(g.num_edges(), ref.edges.size());
+  for (VertexId v = 0; v < ids; ++v) {
+    auto it = ref.vertices.find(v);
+    ASSERT_EQ(g.HasVertex(v), it != ref.vertices.end()) << v;
+    if (it == ref.vertices.end()) {
+      EXPECT_TRUE(g.Degree(v).status().IsNotFound());
+      continue;
+    }
+    EXPECT_EQ(g.GetVertexState(v).value(), it->second);
+    const size_t out = ref.OutDegree(v), in = ref.InDegree(v);
+    EXPECT_EQ(g.OutDegree(v).value(), out) << v;
+    EXPECT_EQ(g.InDegree(v).value(), in) << v;
+    EXPECT_EQ(g.Degree(v).value(), out + in) << v;
+    std::vector<std::pair<VertexId, std::string>> got_out, want_out;
+    g.ForEachOutEdge(v, [&](VertexId dst, const std::string& state) {
+      got_out.emplace_back(dst, state);
+    });
+    std::vector<VertexId> got_in, want_in;
+    g.ForEachInEdge(v, [&](VertexId src) { got_in.push_back(src); });
+    for (const auto& [edge, state] : ref.edges) {
+      if (edge.first == v) want_out.emplace_back(edge.second, state);
+      if (edge.second == v) want_in.push_back(edge.first);
+    }
+    std::sort(got_out.begin(), got_out.end());
+    std::sort(got_in.begin(), got_in.end());
+    EXPECT_EQ(got_out, want_out) << v;
+    EXPECT_EQ(got_in, want_in) << v;
+    for (VertexId w = 0; w < ids; ++w) {
+      auto edge = ref.edges.find({v, w});
+      ASSERT_EQ(g.HasEdge(v, w), edge != ref.edges.end()) << v << "->" << w;
+      if (edge != ref.edges.end()) {
+        EXPECT_EQ(g.GetEdgeState(v, w).value(), edge->second);
+      } else {
+        EXPECT_TRUE(g.GetEdgeState(v, w).status().IsNotFound());
+      }
+    }
+  }
+  using VertexList = std::vector<std::pair<VertexId, std::string>>;
+  using EdgeList =
+      std::vector<std::pair<std::pair<VertexId, VertexId>, std::string>>;
+  std::vector<VertexId> ids_got = g.VertexIds();
+  VertexList vertices_got;
+  g.ForEachVertex([&](VertexId v, const std::string& state) {
+    vertices_got.emplace_back(v, state);
+  });
+  EdgeList edges_got;
+  g.ForEachEdge([&](VertexId src, VertexId dst, const std::string& state) {
+    edges_got.push_back({{src, dst}, state});
+  });
+  std::sort(ids_got.begin(), ids_got.end());
+  std::sort(vertices_got.begin(), vertices_got.end());
+  std::sort(edges_got.begin(), edges_got.end());
+  std::vector<VertexId> ids_want;
+  for (const auto& [v, state] : ref.vertices) ids_want.push_back(v);
+  EXPECT_EQ(ids_got, ids_want);
+  EXPECT_EQ(vertices_got, VertexList(ref.vertices.begin(), ref.vertices.end()));
+  EXPECT_EQ(edges_got, EdgeList(ref.edges.begin(), ref.edges.end()));
+}
+
+TEST(GraphTest, ValidatorAgreementOnRandomStream) {
+  // The Graph, the StreamValidator and a std::map reference must accept
+  // exactly the same events of a seeded random stream over a small id
+  // space, and the Graph must hold what the reference holds. Vertex 0 is
+  // forced into a hub: periodic bursts wire it to every id and edge
+  // endpoints pick it often, so its lists outgrow kAdjIndexThreshold and
+  // vertex removals cascade through indexed lists. Removed ids are
+  // re-added into reused slots.
+  constexpr VertexId kIds = 48;
+  constexpr VertexId kHub = 0;
+  constexpr size_t kEvents = 3000;
+  for (uint64_t seed : {1, 2, 3, 4, 5}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Graph g;
+    StreamValidator validator;
+    ReferenceGraph ref;
+    auto vertex = [&] { return static_cast<VertexId>(rng.NextBounded(kIds)); };
+    auto endpoint = [&] { return rng.NextBool(0.35) ? kHub : vertex(); };
+    auto state = [&] { return std::to_string(rng.NextBounded(1000)); };
+    size_t hub_out_max = 0, hub_in_max = 0, hub_cascades = 0, readds = 0;
+    std::set<VertexId> removed;
+    std::map<EventType, size_t> rejected;
+
+    auto apply = [&](const Event& e) {
+      // A removal that touches the hub while its lists are indexed.
+      const bool through_hub =
+          (ref.OutDegree(kHub) > kAdjIndexThreshold ||
+           ref.InDegree(kHub) > kAdjIndexThreshold) &&
+          (e.vertex == kHub || ref.edges.contains({e.vertex, kHub}) ||
+           ref.edges.contains({kHub, e.vertex}));
+      const bool was_removed = removed.contains(e.vertex);
+      const bool want = ref.Apply(e);
+      ASSERT_EQ(g.Apply(e).ok(), want) << e;
+      ASSERT_EQ(validator.Check(e).ok(), want) << e;
+      if (!want) {
+        ++rejected[e.type];
+      } else if (e.type == EventType::kRemoveVertex) {
+        removed.insert(e.vertex);
+        if (through_hub) ++hub_cascades;
+      } else if (e.type == EventType::kAddVertex && was_removed) {
+        ++readds;
+      }
+      hub_out_max = std::max(hub_out_max, ref.OutDegree(kHub));
+      hub_in_max = std::max(hub_in_max, ref.InDegree(kHub));
+    };
+
+    for (VertexId v = 0; v < kIds; ++v) apply(Event::AddVertex(v));
+    for (size_t i = 0; i < kEvents; ++i) {
+      if (i % 600 == 0) {
+        // Hub burst: wire the hub to every id both ways (self-loops,
+        // duplicates and missing endpoints included), in random order.
+        std::vector<VertexId> order(kIds);
+        for (VertexId v = 0; v < kIds; ++v) order[v] = v;
+        for (size_t k = kIds; k > 1; --k) {
+          std::swap(order[k - 1], order[rng.NextBounded(k)]);
+        }
+        for (VertexId v : order) {
+          apply(Event::AddEdge(kHub, v, state()));
+          apply(Event::AddEdge(v, kHub, state()));
+        }
+      }
+      const uint64_t kind = rng.NextBounded(100);
+      if (kind < 8) {
+        apply(Event::AddVertex(vertex(), state()));
+      } else if (kind < 14) {
+        apply(Event::RemoveVertex(vertex()));
+      } else if (kind < 20) {
+        apply(Event::UpdateVertex(vertex(), state()));
+      } else if (kind < 62) {
+        const VertexId src = endpoint();
+        apply(Event::AddEdge(src, rng.NextBool(0.05) ? src : endpoint(),
+                             state()));
+      } else if (kind < 84) {
+        // Mostly an existing edge, sometimes an absent one.
+        if (!ref.edges.empty() && rng.NextBool(0.8)) {
+          auto it = ref.edges.begin();
+          std::advance(it, rng.NextBounded(ref.edges.size()));
+          apply(Event::RemoveEdge(it->first.first, it->first.second));
+        } else {
+          apply(Event::RemoveEdge(endpoint(), endpoint()));
+        }
+      } else {
+        apply(Event::UpdateEdge(endpoint(), endpoint(), state()));
+      }
+      if (HasFatalFailure()) return;
+      if (i % 250 == 249) {
+        ExpectSameGraph(g, ref, kIds);
+        ExpectSameGraph(g.Clone(), ref, kIds);  // deep-copies hub indexes
+      }
+    }
+    ExpectSameGraph(g, ref, kIds);
+    EXPECT_EQ(g.num_vertices(), validator.num_vertices());
+    EXPECT_EQ(g.num_edges(), validator.num_edges());
+
+    // The stream reached what it is meant to exercise.
+    EXPECT_GT(hub_out_max, kAdjIndexThreshold);
+    EXPECT_GT(hub_in_max, kAdjIndexThreshold);
+    EXPECT_GT(hub_cascades, 0u);
+    EXPECT_GT(readds, 0u);
+    for (EventType type :
+         {EventType::kAddVertex, EventType::kRemoveVertex,
+          EventType::kUpdateVertex, EventType::kAddEdge,
+          EventType::kRemoveEdge, EventType::kUpdateEdge}) {
+      EXPECT_GT(rejected[type], 0u) << "no invalid event of type "
+                                    << static_cast<int>(type);
+    }
+  }
 }
 
 }  // namespace
