@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "generator/models/blockchain_model.h"
 #include "generator/models/ddos_model.h"
@@ -263,6 +265,13 @@ struct SweepCase {
   uint64_t seed;
 };
 
+// The printed parameter ends up in each ctest name. Without this printer
+// gtest dumps the object's raw bytes, heap pointers included, so the names
+// changed from one process to the next.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.model << "_seed" << c.seed;
+}
+
 class ModelSweepTest : public ::testing::TestWithParam<SweepCase> {
  protected:
   std::unique_ptr<GeneratorModel> MakeModel() const {
@@ -309,10 +318,7 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{"social", 1234567}, SweepCase{"ddos", 1},
         SweepCase{"ddos", 99}, SweepCase{"blockchain", 1},
         SweepCase{"blockchain", 4242}, SweepCase{"mix", 1},
-        SweepCase{"mix", 77}),
-    [](const ::testing::TestParamInfo<SweepCase>& info) {
-      return info.param.model + "_seed" + std::to_string(info.param.seed);
-    });
+        SweepCase{"mix", 77}));
 
 }  // namespace
 }  // namespace graphtides
