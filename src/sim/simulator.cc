@@ -33,4 +33,25 @@ void Simulator::RunUntil(Timestamp t) {
   clock_.AdvanceTo(t);
 }
 
+std::optional<Timestamp> Simulator::RunSampled(
+    Duration every, Timestamp deadline, const std::function<bool()>& tick) {
+  std::optional<Timestamp> drained_at;
+  std::function<void()> sample;
+  // A tick past the deadline would never run; not scheduling it keeps the
+  // queue free of callbacks that outlive this frame.
+  auto schedule = [&] {
+    if (Now() + every <= deadline) ScheduleAfter(every, sample);
+  };
+  sample = [&] {
+    if (tick()) {
+      drained_at = Now();
+    } else {
+      schedule();
+    }
+  };
+  schedule();
+  RunUntil(deadline);
+  return drained_at;
+}
+
 }  // namespace graphtides

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <queue>
 #include <vector>
 
@@ -37,6 +38,15 @@ class Simulator {
   void RunUntilIdle();
   /// Runs callbacks with time <= `t`; then advances the clock to `t`.
   void RunUntil(Timestamp t);
+  /// \brief Runs until `deadline`, calling `tick` every `every` from now on
+  /// until it reports the system drained (returns true).
+  ///
+  /// Ticks at now + k * every, never after the one that reported drained
+  /// and never past the deadline; the clock ends at the deadline either
+  /// way. Returns the first drained instant, nullopt if the run never
+  /// drained.
+  std::optional<Timestamp> RunSampled(Duration every, Timestamp deadline,
+                                      const std::function<bool()>& tick);
   /// Executes the single next callback; false if none left.
   bool Step();
 

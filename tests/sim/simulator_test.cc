@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 namespace graphtides {
@@ -113,6 +114,56 @@ TEST(SimulatorTest, CascadingCallbacksAllRun) {
   sim.RunUntilIdle();
   EXPECT_EQ(depth, 100);
   EXPECT_EQ(sim.Now().micros(), 99 * 10);
+}
+
+TEST(SimulatorTest, RunSampledReturnsFirstDrainedInstant) {
+  Simulator sim;
+  std::vector<int64_t> ticks;
+  const std::optional<Timestamp> drained = sim.RunSampled(
+      Duration::FromMillis(10), Timestamp::FromMillis(100), [&] {
+        ticks.push_back(sim.Now().millis());
+        return sim.Now() >= Timestamp::FromMillis(30);
+      });
+  ASSERT_TRUE(drained.has_value());
+  EXPECT_EQ(drained->millis(), 30);
+  // No tick after the one that reported drained.
+  EXPECT_EQ(ticks, (std::vector<int64_t>{10, 20, 30}));
+  EXPECT_EQ(sim.Now().millis(), 100);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(SimulatorTest, RunSampledNeverDrainedStopsAtDeadline) {
+  Simulator sim;
+  std::vector<int64_t> ticks;
+  const std::optional<Timestamp> drained = sim.RunSampled(
+      Duration::FromMillis(30), Timestamp::FromMillis(100), [&] {
+        ticks.push_back(sim.Now().millis());
+        return false;
+      });
+  EXPECT_FALSE(drained.has_value());
+  // Never past the deadline: the tick at 120 ms does not run.
+  EXPECT_EQ(ticks, (std::vector<int64_t>{30, 60, 90}));
+  EXPECT_EQ(sim.Now().millis(), 100);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(SimulatorTest, RunSampledTicksAtDeadlineAndRunsOtherWork) {
+  Simulator sim;
+  int work = 0;
+  sim.ScheduleAt(Timestamp::FromMillis(15), [&] { ++work; });
+  sim.ScheduleAt(Timestamp::FromMillis(150), [&] { ++work; });
+  std::vector<int64_t> ticks;
+  const std::optional<Timestamp> drained = sim.RunSampled(
+      Duration::FromMillis(50), Timestamp::FromMillis(100), [&] {
+        ticks.push_back(sim.Now().millis());
+        return false;
+      });
+  EXPECT_FALSE(drained.has_value());
+  EXPECT_EQ(ticks, (std::vector<int64_t>{50, 100}));
+  // Work up to the deadline ran; later work stays queued.
+  EXPECT_EQ(work, 1);
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.Now().millis(), 100);
 }
 
 }  // namespace
