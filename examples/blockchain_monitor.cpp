@@ -60,9 +60,7 @@ int main() {
   std::printf("ledger stream: %zu events\n", generated->events.size());
 
   Simulator sim;
-  VirtualReplayerOptions replay_options;
-  replay_options.base_rate_eps = 5000.0;
-  VirtualReplayer replayer(&sim, replay_options);
+  VirtualReplayer replayer(&sim, 5000.0);
 
   Graph graph;
   // Live statistics maintained from the stream alone.

@@ -38,9 +38,7 @@ int main() {
               model.servers().size(), generated->events.size());
 
   Simulator sim;
-  VirtualReplayerOptions replay_options;
-  replay_options.base_rate_eps = 2000.0;
-  VirtualReplayer replayer(&sim, replay_options);
+  VirtualReplayer replayer(&sim, 2000.0);
 
   Graph graph;
   // Per-server inbound traffic trend (new flows + flow updates).

@@ -83,9 +83,7 @@ int main() {
   // windows mean something, while the whole run takes milliseconds of wall
   // time.
   Simulator sim;
-  VirtualReplayerOptions replay_options;
-  replay_options.base_rate_eps = 2000.0;
-  VirtualReplayer replayer(&sim, replay_options);
+  VirtualReplayer replayer(&sim, 2000.0);
 
   Graph graph;
   OnlinePageRank rank;

@@ -44,6 +44,15 @@ void RateController::Retarget(double rate_eps) {
 
 void RateController::Defer(Duration pause) { pending_defer_ += pause; }
 
+void RateController::ApplyControl(EventType type, double rate_factor,
+                                  Duration pause) {
+  if (type == EventType::kSetRate) {
+    SetFactor(rate_factor);
+  } else if (type == EventType::kPause) {
+    Defer(pause);
+  }
+}
+
 Timestamp RateController::NextDeadline() {
   Timestamp deadline;
   if (!started_) {
@@ -71,16 +80,6 @@ Timestamp RateController::NextDeadline() {
   return deadline;
 }
 
-Timestamp RateController::WaitForNextSlot() {
-  const Timestamp deadline = NextDeadline();
-  // Lag fast path: time already observed at/past the deadline means the
-  // slot is open — no clock read. When replay runs behind schedule this
-  // releases whole stretches of slots off one observation (~35 ns per
-  // steady_clock read saved per event on a typical VM).
-  if (!Due(deadline)) WaitUntil(deadline);
-  return deadline;
-}
-
 void RateController::WaitUntil(Timestamp deadline) {
   // Two-stage wait: yield while far from the deadline, spin when close.
   // Yielding keeps the reader thread runnable on loaded machines; the final
@@ -95,18 +94,6 @@ void RateController::WaitUntil(Timestamp deadline) {
     }
     // else: pure busy-wait
   }
-}
-
-Duration RateController::Lag() const {
-  if (!started_) return Duration::Zero();
-  const Timestamp upcoming =
-      anchor_ +
-      Duration::FromNanos(static_cast<int64_t>(
-          std::llround(static_cast<double>(events_since_anchor_ + 1) *
-                       IntervalNanos()))) +
-      pending_defer_;
-  const Timestamp now = clock_->Now();
-  return now >= upcoming ? now - upcoming : Duration::Zero();
 }
 
 }  // namespace graphtides

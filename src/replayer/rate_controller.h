@@ -7,6 +7,7 @@
 #include <cstdint>
 
 #include "common/clock.h"
+#include "stream/event.h"
 
 namespace graphtides {
 
@@ -14,8 +15,10 @@ namespace graphtides {
 ///
 /// The schedule is deadline-based rather than sleep-based: the next
 /// deadline advances by exactly one interval per event, so transient delays
-/// are caught up instead of accumulating drift. SET_RATE control events map
-/// to SetFactor, PAUSE control events to Defer.
+/// are caught up instead of accumulating drift. In-stream SET_RATE and
+/// PAUSE controls go through ApplyControl. The sharded replayer's lanes
+/// (wall clock) and the simulator's VirtualReplayer (virtual clock) both
+/// pace through this class, so they share one schedule.
 ///
 /// Deadlines are computed as anchor + k * interval with the interval held
 /// in fractional nanoseconds, not by repeatedly adding a truncated integer
@@ -48,13 +51,13 @@ class RateController {
   /// a later SET_RATE control scales the new base.
   void Retarget(double rate_eps);
 
-  /// Pushes the schedule into the future (PAUSE control event).
+  /// Pushes the schedule into the future.
   void Defer(Duration pause);
 
-  /// Blocks (busy-waits near the deadline) until the next emission slot,
-  /// then advances the schedule. Returns the deadline that was enforced.
-  /// Equivalent to NextDeadline() followed by WaitUntil() unless Due().
-  Timestamp WaitForNextSlot();
+  /// \brief Applies an in-stream control: SET_RATE sets the speed-up
+  /// factor (SetFactor), PAUSE defers the schedule (Defer). Both take
+  /// effect from the next emission.
+  void ApplyControl(EventType type, double rate_factor, Duration pause);
 
   /// Advances the schedule and returns the deadline for the next event,
   /// without waiting (virtual-time callers advance their own clock).
@@ -76,9 +79,6 @@ class RateController {
   /// Blocks until `deadline`: yields while far from it, busy-waits within
   /// the last 50 us.
   void WaitUntil(Timestamp deadline);
-
-  /// Positive when emission lags behind the schedule.
-  Duration Lag() const;
 
  private:
   double IntervalNanos() const { return 1e9 / (base_rate_eps_ * factor_); }

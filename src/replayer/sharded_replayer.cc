@@ -526,13 +526,9 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
       if (item.kind == ItemKind::kBarrier) {
         const BarrierCmd& cmd = item.barrier;
         barrier.ArriveAndWait([&] { complete_barrier(cmd); });
-        if (cmd.kind == BarrierCmd::Kind::kControl &&
-            options_.honor_control_events) {
-          if (cmd.control == EventType::kSetRate) {
-            rate.SetFactor(cmd.rate_factor);
-          } else {
-            rate.Defer(cmd.pause);
-          }
+        // The reader broadcasts controls only when they are honored.
+        if (cmd.kind == BarrierCmd::Kind::kControl) {
+          rate.ApplyControl(cmd.control, cmd.rate_factor, cmd.pause);
         }
         continue;
       }

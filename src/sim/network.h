@@ -32,9 +32,9 @@ class SimLink {
     if (clear_at_ > start) start = clear_at_;  // serialize transmissions
     Duration tx = Duration::Zero();
     if (options_.bandwidth_bps > 0) {
-      tx = Duration::FromNanos(static_cast<int64_t>(
-          1e9 * static_cast<double>(bytes) /
-          static_cast<double>(options_.bandwidth_bps)));
+      // Exact integer nanoseconds (floor) instead of a double round trip.
+      tx = Duration::FromSeconds(1.0) * static_cast<int64_t>(bytes) /
+           static_cast<int64_t>(options_.bandwidth_bps);
     }
     clear_at_ = start + tx;
     const Timestamp arrival = clear_at_ + options_.latency;

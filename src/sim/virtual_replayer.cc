@@ -1,6 +1,12 @@
 #include "sim/virtual_replayer.h"
 
 namespace graphtides {
+namespace {
+
+/// Schedule deferral before re-checking a closed backpressure gate.
+constexpr Duration kGateBackoff = Duration::FromMillis(1);
+
+}  // namespace
 
 void VirtualReplayer::Start(std::vector<Event> events, DeliverFn deliver,
                             MarkerFn on_marker, DoneFn on_done) {
@@ -8,37 +14,20 @@ void VirtualReplayer::Start(std::vector<Event> events, DeliverFn deliver,
   deliver_ = std::move(deliver);
   on_marker_ = std::move(on_marker);
   on_done_ = std::move(on_done);
-  cursor_ = 0;
-  delivered_ = 0;
-  factor_ = 1.0;
-  finished_ = false;
-  next_deadline_ = sim_->Now();
-  delivery_times_.clear();
-  sim_->ScheduleAt(next_deadline_, [this] { EmitNext(); });
+  ScheduleNext();
 }
 
-void VirtualReplayer::EmitNext() {
-  // Consume markers and controls immediately; they carry no pacing cost of
-  // their own (controls adjust the schedule instead).
-  while (cursor_ < events_.size()) {
+void VirtualReplayer::ScheduleNext() {
+  // Markers and controls carry no pacing cost of their own; like a lane at
+  // its barrier, consume them right after the graph event before them.
+  for (; cursor_ < events_.size() && !IsGraphOp(events_[cursor_].type);
+       ++cursor_) {
     const Event& event = events_[cursor_];
     if (event.type == EventType::kMarker) {
       if (on_marker_) on_marker_(event.payload);
-      ++cursor_;
-      continue;
+    } else {
+      rate_.ApplyControl(event.type, event.rate_factor, event.pause);
     }
-    if (IsControl(event.type)) {
-      if (options_.honor_control_events) {
-        if (event.type == EventType::kSetRate) {
-          if (event.rate_factor > 0.0) factor_ = event.rate_factor;
-        } else {
-          next_deadline_ = next_deadline_ + event.pause;
-        }
-      }
-      ++cursor_;
-      continue;
-    }
-    break;
   }
   if (cursor_ >= events_.size()) {
     finished_ = true;
@@ -46,33 +35,22 @@ void VirtualReplayer::EmitNext() {
     if (on_done_) on_done_();
     return;
   }
+  sim_->ScheduleAt(rate_.NextDeadline(), [this] { Emit(); });
+}
 
-  // If controls pushed the deadline beyond now, re-schedule; the deferred
-  // call finds the controls already consumed and emits then.
-  if (next_deadline_ > sim_->Now()) {
-    sim_->ScheduleAt(next_deadline_, [this] { EmitNext(); });
-    return;
-  }
-
-  // Backpressure: a closed gate defers emission (and shifts the schedule —
-  // a throttled replayer does not burst to catch up afterwards).
+void VirtualReplayer::Emit() {
+  // Backpressure: a closed gate defers the schedule, so a throttled
+  // replayer does not burst to catch up once the gate opens.
   if (gate_ && !gate_()) {
-    throttled_ += options_.gate_backoff;
-    next_deadline_ = sim_->Now() + options_.gate_backoff;
-    sim_->ScheduleAt(next_deadline_, [this] { EmitNext(); });
+    throttled_ += kGateBackoff;
+    rate_.Defer(kGateBackoff);
+    sim_->ScheduleAfter(kGateBackoff, [this] { Emit(); });
     return;
   }
-
-  const Event& event = events_[cursor_];
   delivery_times_.push_back(sim_->Now());
-  if (deliver_) deliver_(event, cursor_);
+  if (deliver_) deliver_(events_[cursor_], cursor_);
   ++cursor_;
-  ++delivered_;
-
-  const Duration interval = Duration::FromNanos(static_cast<int64_t>(
-      1e9 / (options_.base_rate_eps * factor_)));
-  next_deadline_ = next_deadline_ + interval;
-  sim_->ScheduleAt(next_deadline_, [this] { EmitNext(); });
+  ScheduleNext();
 }
 
 }  // namespace graphtides

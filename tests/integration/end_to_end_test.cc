@@ -180,9 +180,7 @@ TEST_F(EndToEndTest, TwoConfigurationsComparedWithConfidenceIntervals) {
     events.insert(events.begin() + rng.NextInt(1, 1999),
                   Event::Pause(Duration::FromMicros(rng.NextInt(0, 1000))));
     Simulator sim;
-    VirtualReplayerOptions options;
-    options.base_rate_eps = rate;
-    VirtualReplayer replayer(&sim, options);
+    VirtualReplayer replayer(&sim, rate);
     const Timestamp started = sim.Now();
     replayer.Start(std::move(events), [](const Event&, size_t) {});
     sim.RunUntilIdle();

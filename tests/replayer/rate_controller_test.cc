@@ -7,6 +7,14 @@
 namespace graphtides {
 namespace {
 
+// Takes one paced slot the way a replay lane does: the next deadline,
+// waited for only when the clock has not already proven it passed.
+Timestamp TakeSlot(RateController* rate) {
+  const Timestamp deadline = rate->NextDeadline();
+  if (!rate->Due(deadline)) rate->WaitUntil(deadline);
+  return deadline;
+}
+
 // NextDeadline against a virtual clock exercises the scheduling math
 // without wall-clock flakiness.
 TEST(RateControllerTest, DeadlinesUniformAtBaseRate) {
@@ -48,21 +56,27 @@ TEST(RateControllerTest, DeferPushesSchedule) {
   EXPECT_EQ(rate.NextDeadline().nanos(), 21000000);
 }
 
+TEST(RateControllerTest, ApplyControlMapsSetRateAndPause) {
+  VirtualClock clock;
+  RateController rate(1000.0, &clock);
+  rate.NextDeadline();  // t = 0
+  rate.ApplyControl(EventType::kSetRate, 2.0, Duration::Zero());
+  EXPECT_DOUBLE_EQ(rate.factor(), 2.0);
+  EXPECT_EQ(rate.NextDeadline().nanos(), 500000);
+  rate.ApplyControl(EventType::kPause, 1.0, Duration::FromMillis(10));
+  EXPECT_DOUBLE_EQ(rate.factor(), 2.0);
+  EXPECT_EQ(rate.NextDeadline().nanos(), 11000000);
+  // Graph events and markers carry no control.
+  rate.ApplyControl(EventType::kMarker, 4.0, Duration::FromMillis(10));
+  EXPECT_EQ(rate.NextDeadline().nanos(), 11500000);
+}
+
 TEST(RateControllerTest, DeferBeforeStartAnchorsToNow) {
   VirtualClock clock;
   clock.Advance(Duration::FromMillis(5));
   RateController rate(1000.0, &clock);
   rate.Defer(Duration::FromMillis(10));
   EXPECT_EQ(rate.NextDeadline().nanos(), 15000000);
-}
-
-TEST(RateControllerTest, LagMeasuredAgainstSchedule) {
-  VirtualClock clock;
-  RateController rate(1000.0, &clock);
-  EXPECT_EQ(rate.Lag(), Duration::Zero());
-  rate.NextDeadline();  // next deadline = 1 ms
-  clock.Advance(Duration::FromMillis(5));
-  EXPECT_EQ(rate.Lag().millis(), 4);
 }
 
 // Drift audit: with a fractional interval (1e9 / rate not an integer
@@ -123,7 +137,7 @@ TEST(RateControllerTest, WallClockWaitHitsTargetRate) {
   RateController rate(20000.0, &clock);  // 50 us interval
   const Timestamp start = clock.Now();
   const int events = 2000;
-  for (int i = 0; i < events; ++i) rate.WaitForNextSlot();
+  for (int i = 0; i < events; ++i) TakeSlot(&rate);
   const double elapsed = (clock.Now() - start).seconds();
   const double achieved = events / elapsed;
   // Within 15% of the 20k target on a loaded CI machine.
@@ -134,7 +148,7 @@ TEST(RateControllerTest, WaitNeverReturnsEarly) {
   MonotonicClock clock;
   RateController rate(50000.0, &clock);
   for (int i = 0; i < 100; ++i) {
-    const Timestamp deadline = rate.WaitForNextSlot();
+    const Timestamp deadline = TakeSlot(&rate);
     EXPECT_GE(clock.Now(), deadline);
   }
 }
@@ -150,7 +164,7 @@ TEST(RateControllerTest, WaitNeverReturnsEarly) {
 
 // A settable clock for jump tests. Each Now() also ticks time forward a
 // little, the way a real clock advances while the wait loop polls it —
-// without the tick, WaitForNextSlot against a frozen clock would spin
+// without the tick, TakeSlot against a frozen clock would spin
 // forever after a backward jump.
 class JumpClock final : public Clock {
  public:
@@ -175,12 +189,12 @@ class JumpClock final : public Clock {
 TEST(RateControllerTest, ForwardClockJumpCatchesUpWithoutScheduleDrift) {
   JumpClock clock(Duration::FromNanos(200));
   RateController rate(100000.0, &clock);  // 10 us interval
-  const Timestamp first = rate.WaitForNextSlot();
+  const Timestamp first = TakeSlot(&rate);
 
   Timestamp prev = first;
   for (int i = 1; i <= 200; ++i) {
     if (i == 50) clock.Jump(Duration::FromSeconds(5.0));
-    const Timestamp deadline = rate.WaitForNextSlot();
+    const Timestamp deadline = TakeSlot(&rate);
     // Deadlines never recede, and the slot spacing stays exactly one
     // interval: the jump makes the controller late, not the schedule fast.
     EXPECT_GE(deadline, prev) << "slot " << i;
@@ -193,27 +207,27 @@ TEST(RateControllerTest, ForwardClockJumpCatchesUpWithoutScheduleDrift) {
   // Catch-up after the jump is immediate: a deadline already in the past
   // needs exactly one clock read to release, no sleeping toward it.
   const uint64_t before = clock.reads();
-  rate.WaitForNextSlot();
+  TakeSlot(&rate);
   EXPECT_LE(clock.reads() - before, 2u);
 }
 
 TEST(RateControllerTest, BackwardClockJumpWaitsLongerButNeverLivelocks) {
   JumpClock clock(Duration::FromMicros(1));
   RateController rate(1000.0, &clock);  // 1 ms interval
-  const Timestamp first = rate.WaitForNextSlot();
-  rate.WaitForNextSlot();
+  const Timestamp first = TakeSlot(&rate);
+  TakeSlot(&rate);
 
   // The clock leaps 5 ms into the past; the next deadline is now ~7 ms of
   // clock-reads away. The wait must cover the gap by polling forward —
   // if the controller instead recomputed the schedule from Now() or
   // attempted a negative sleep, the spacing or ordering would break.
   clock.Jump(Duration::FromMillis(-5));
-  const Timestamp third = rate.WaitForNextSlot();
+  const Timestamp third = TakeSlot(&rate);
   EXPECT_NEAR(static_cast<double>((third - first).nanos()), 2.0e6, 1.0);
 
   Timestamp prev = third;
   for (int i = 3; i <= 10; ++i) {
-    const Timestamp deadline = rate.WaitForNextSlot();
+    const Timestamp deadline = TakeSlot(&rate);
     EXPECT_GE(deadline, prev);
     EXPECT_GE(clock.Now(), deadline);  // released at/after its slot
     prev = deadline;
@@ -257,12 +271,12 @@ TEST(RateControllerTest, RetargetResetsControlFactor) {
 TEST(RateControllerTest, RetargetWhileLaggingDoesNotBurstCatchUp) {
   VirtualClock clock;
   RateController rate(1000.0, &clock);  // 1 ms interval
-  rate.WaitForNextSlot();               // t = 0, schedule anchored
+  TakeSlot(&rate);                      // t = 0, schedule anchored
 
   // Emission stalls: the clock runs 10 ms ahead of the schedule. The next
   // wait observes now = 10 ms against a 1 ms deadline (released late).
   clock.Advance(Duration::FromMillis(10));
-  rate.WaitForNextSlot();
+  TakeSlot(&rate);
 
   // Retargeting mid-lag must resume from the observed now, not from the
   // stale 1 ms deadline — anchoring there would put the whole new-rate

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace graphtides {
 namespace {
 
@@ -13,9 +17,7 @@ std::vector<Event> VertexStream(size_t n) {
 
 TEST(VirtualReplayerTest, UniformSpacingAtBaseRate) {
   Simulator sim;
-  VirtualReplayerOptions options;
-  options.base_rate_eps = 1000.0;  // 1 ms apart
-  VirtualReplayer replayer(&sim, options);
+  VirtualReplayer replayer(&sim, 1000.0);  // 1 ms apart
   std::vector<int64_t> times;
   replayer.Start(VertexStream(5),
                  [&](const Event&, size_t) { times.push_back(sim.Now().micros()); });
@@ -27,9 +29,7 @@ TEST(VirtualReplayerTest, UniformSpacingAtBaseRate) {
 
 TEST(VirtualReplayerTest, PauseShiftsSubsequentEvents) {
   Simulator sim;
-  VirtualReplayerOptions options;
-  options.base_rate_eps = 1000.0;
-  VirtualReplayer replayer(&sim, options);
+  VirtualReplayer replayer(&sim, 1000.0);
   std::vector<Event> events = VertexStream(4);
   events.insert(events.begin() + 2, Event::Pause(Duration::FromMillis(100)));
   std::vector<int64_t> times;
@@ -43,11 +43,11 @@ TEST(VirtualReplayerTest, PauseShiftsSubsequentEvents) {
   EXPECT_EQ(times[3], 103);
 }
 
-TEST(VirtualReplayerTest, SetRateDoublesThroughput) {
+// SET_RATE re-anchors the schedule at the previous emission, as a lane's
+// SetFactor does: the new interval applies from the very next event.
+TEST(VirtualReplayerTest, SetRateAppliesFromNextEmission) {
   Simulator sim;
-  VirtualReplayerOptions options;
-  options.base_rate_eps = 1000.0;
-  VirtualReplayer replayer(&sim, options);
+  VirtualReplayer replayer(&sim, 1000.0);
   std::vector<Event> events = VertexStream(2);
   events.push_back(Event::SetRate(2.0));
   for (VertexId v = 10; v < 14; ++v) events.push_back(Event::AddVertex(v));
@@ -55,19 +55,46 @@ TEST(VirtualReplayerTest, SetRateDoublesThroughput) {
   replayer.Start(events,
                  [&](const Event&, size_t) { times.push_back(sim.Now().micros()); });
   sim.RunUntilIdle();
-  ASSERT_EQ(times.size(), 6u);
-  EXPECT_EQ(times[0], 0);
-  EXPECT_EQ(times[1], 1000);
-  // After SET_RATE 2.0: 500 us spacing.
-  EXPECT_EQ(times[2], 2000);
-  EXPECT_EQ(times[3], 2500);
-  EXPECT_EQ(times[4], 3000);
-  EXPECT_EQ(times[5], 3500);
+  EXPECT_EQ(times, (std::vector<int64_t>{0, 1000, 1500, 2000, 2500, 3000}));
+}
+
+// The schedule is anchored (k * interval, rounded once), not a running sum
+// of truncated intervals: 1e9 / 3000 ns truncated per event would land the
+// 30,001st event 10 us early.
+TEST(VirtualReplayerTest, FractionalIntervalDoesNotDrift) {
+  Simulator sim;
+  VirtualReplayer replayer(&sim, 3000.0);
+  replayer.Start(VertexStream(30001), [](const Event&, size_t) {});
+  sim.RunUntilIdle();
+  ASSERT_EQ(replayer.delivery_times().size(), 30001u);
+  EXPECT_EQ(replayer.delivery_times().back().nanos(), 10'000'000'000);
+}
+
+// Markers are stamped as they pass the emitter: right after the graph
+// event before them, not one interval later with the next one.
+TEST(VirtualReplayerTest, MarkersStampedRightAfterPrecedingEvent) {
+  Simulator sim;
+  VirtualReplayer replayer(&sim, 1000.0);
+  std::vector<Event> events = VertexStream(3);
+  events.insert(events.begin() + 2, Event::Marker("M"));
+  events.push_back(Event::Marker("END"));
+  std::vector<std::pair<std::string, int64_t>> markers;
+  replayer.Start(
+      events, [](const Event&, size_t) {},
+      [&](const std::string& label) {
+        markers.emplace_back(label, sim.Now().micros());
+      });
+  sim.RunUntilIdle();
+  EXPECT_EQ(markers, (std::vector<std::pair<std::string, int64_t>>{
+                         {"M", 1000}, {"END", 2000}}));
+  EXPECT_EQ(replayer.finished_at().micros(), 2000);
+  ASSERT_EQ(replayer.delivery_times().size(), 3u);
+  EXPECT_EQ(replayer.delivery_times()[2].micros(), 2000);
 }
 
 TEST(VirtualReplayerTest, MarkersReportedNotDelivered) {
   Simulator sim;
-  VirtualReplayer replayer(&sim, VirtualReplayerOptions{});
+  VirtualReplayer replayer(&sim, 2000.0);
   std::vector<Event> events = VertexStream(3);
   events.insert(events.begin() + 1, Event::Marker("M"));
   size_t delivered = 0;
@@ -83,23 +110,9 @@ TEST(VirtualReplayerTest, MarkersReportedNotDelivered) {
   EXPECT_EQ(markers, (std::vector<std::string>{"M"}));
 }
 
-TEST(VirtualReplayerTest, ControlsIgnoredWhenDisabled) {
-  Simulator sim;
-  VirtualReplayerOptions options;
-  options.base_rate_eps = 1000.0;
-  options.honor_control_events = false;
-  VirtualReplayer replayer(&sim, options);
-  std::vector<Event> events = VertexStream(2);
-  events.insert(events.begin() + 1, Event::Pause(Duration::FromSeconds(60.0)));
-  replayer.Start(events, [](const Event&, size_t) {});
-  sim.RunUntilIdle();
-  EXPECT_LT(sim.Now().millis(), 10);
-  EXPECT_TRUE(replayer.finished());
-}
-
 TEST(VirtualReplayerTest, DoneCallbackFiresOnce) {
   Simulator sim;
-  VirtualReplayer replayer(&sim, VirtualReplayerOptions{});
+  VirtualReplayer replayer(&sim, 2000.0);
   int done_calls = 0;
   replayer.Start(VertexStream(10), [](const Event&, size_t) {},
                  nullptr, [&] { ++done_calls; });
@@ -110,9 +123,7 @@ TEST(VirtualReplayerTest, DoneCallbackFiresOnce) {
 
 TEST(VirtualReplayerTest, DeliveryTimesRecorded) {
   Simulator sim;
-  VirtualReplayerOptions options;
-  options.base_rate_eps = 2000.0;
-  VirtualReplayer replayer(&sim, options);
+  VirtualReplayer replayer(&sim, 2000.0);
   replayer.Start(VertexStream(100), [](const Event&, size_t) {});
   sim.RunUntilIdle();
   const auto& times = replayer.delivery_times();
@@ -124,7 +135,7 @@ TEST(VirtualReplayerTest, DeliveryTimesRecorded) {
 
 TEST(VirtualReplayerTest, EmptyStreamFinishesImmediately) {
   Simulator sim;
-  VirtualReplayer replayer(&sim, VirtualReplayerOptions{});
+  VirtualReplayer replayer(&sim, 2000.0);
   bool done = false;
   replayer.Start({}, nullptr, nullptr, [&] { done = true; });
   sim.RunUntilIdle();
@@ -134,7 +145,7 @@ TEST(VirtualReplayerTest, EmptyStreamFinishesImmediately) {
 
 TEST(VirtualReplayerTest, IndicesMatchStreamOrder) {
   Simulator sim;
-  VirtualReplayer replayer(&sim, VirtualReplayerOptions{});
+  VirtualReplayer replayer(&sim, 2000.0);
   std::vector<size_t> indices;
   replayer.Start(VertexStream(20),
                  [&](const Event&, size_t index) { indices.push_back(index); });
@@ -145,10 +156,7 @@ TEST(VirtualReplayerTest, IndicesMatchStreamOrder) {
 
 TEST(VirtualReplayerTest, GateThrottlesEmission) {
   Simulator sim;
-  VirtualReplayerOptions options;
-  options.base_rate_eps = 1000.0;  // 1 ms spacing
-  options.gate_backoff = Duration::FromMillis(5);
-  VirtualReplayer replayer(&sim, options);
+  VirtualReplayer replayer(&sim, 1000.0);  // 1 ms spacing
   // Gate closed until t = 50 ms.
   replayer.SetGate([&sim] { return sim.Now() >= Timestamp::FromMillis(50); });
   std::vector<int64_t> times;
@@ -167,9 +175,7 @@ TEST(VirtualReplayerTest, GateThrottlesEmission) {
 
 TEST(VirtualReplayerTest, OpenGateIsFree) {
   Simulator sim;
-  VirtualReplayerOptions options;
-  options.base_rate_eps = 1000.0;
-  VirtualReplayer replayer(&sim, options);
+  VirtualReplayer replayer(&sim, 1000.0);
   replayer.SetGate([] { return true; });
   replayer.Start(VertexStream(10), [](const Event&, size_t) {});
   sim.RunUntilIdle();
