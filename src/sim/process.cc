@@ -23,12 +23,25 @@ Timestamp SimProcess::Submit(Duration cpu_cost, Simulator::Callback done) {
   busy_until_ = end;
   total_busy_ += cpu_cost;
   if (done) {
-    const uint64_t gen = generation_;
-    sim_->ScheduleAt(end, [this, gen, cb = std::move(done)] {
-      if (gen == generation_) cb();
-    });
+    // Drop the consumed prefix once it is at least half the FIFO, so a
+    // process that never drains keeps amortized O(1) submissions.
+    if (next_completion_ > 0 && 2 * next_completion_ >= completions_.size()) {
+      completions_.erase(completions_.begin(),
+                         completions_.begin() +
+                             static_cast<std::ptrdiff_t>(next_completion_));
+      next_completion_ = 0;
+    }
+    completions_.push_back(std::move(done));
+    sim_->ScheduleAt(end, [this, gen = generation_] { Complete(gen); });
   }
   return end;
+}
+
+void SimProcess::Complete(uint64_t generation) {
+  if (generation != generation_) return;
+  // Move out first: `done` may submit more work or kill the process.
+  Simulator::Callback done = std::move(completions_[next_completion_++]);
+  done();
 }
 
 void SimProcess::Kill() {
@@ -41,6 +54,8 @@ void SimProcess::Kill() {
     busy_until_ = now;
   }
   ++generation_;  // suppress in-flight completion callbacks
+  completions_.clear();
+  next_completion_ = 0;
   alive_ = false;
   killed_at_ = now;
   ++kills_;

@@ -6,6 +6,7 @@
 #ifndef GRAPHTIDES_SIM_PROCESS_H_
 #define GRAPHTIDES_SIM_PROCESS_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,10 @@ class SimProcess {
   ///
   /// Returns the completion time. Submissions to a killed process are
   /// dropped (counted in lost_submissions) and `done` never runs.
+  ///
+  /// Completion times never decrease across submissions, so pending
+  /// `done` callbacks wait in a FIFO owned by the process; the simulator
+  /// only holds a small (this, generation) event per submission.
   Timestamp Submit(Duration cpu_cost, Simulator::Callback done);
 
   // --- Crash–recovery (§3.2 fault tolerance, runtime dimension) ---------
@@ -66,6 +71,8 @@ class SimProcess {
   Timestamp epoch() const { return epoch_; }
 
  private:
+  /// Runs the oldest pending `done` if `generation` is still current.
+  void Complete(uint64_t generation);
   void AccountBusy(Timestamp start, Timestamp end);
   /// Removes previously accounted busy time in [start, end) — used when a
   /// kill discards queued work whose cost was charged at submit time.
@@ -80,9 +87,13 @@ class SimProcess {
   std::vector<Duration> busy_per_bin_;
 
   bool alive_ = true;
-  /// Bumped on every Kill; completion callbacks carry the generation they
+  /// Bumped on every Kill; completion events carry the generation they
   /// were scheduled under and fire only if it still matches.
   uint64_t generation_ = 0;
+  /// Pending `done` callbacks in submission (= completion) order: entries
+  /// before next_completion_ have run. Cleared by Kill.
+  std::vector<Simulator::Callback> completions_;
+  size_t next_completion_ = 0;
   Timestamp killed_at_;
   Duration downtime_;
   uint64_t kills_ = 0;

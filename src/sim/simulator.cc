@@ -6,18 +6,29 @@ namespace graphtides {
 
 void Simulator::ScheduleAt(Timestamp t, Callback cb) {
   if (t < Now()) t = Now();
-  queue_.push(Entry{t, next_seq_++, std::move(cb)});
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.push_back(std::move(cb));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(cb);
+  }
+  queue_.push(Key{t, next_seq_++, slot});
 }
 
 bool Simulator::Step() {
   if (queue_.empty()) return false;
-  // priority_queue::top returns const&; the callback must be moved out
-  // before pop, so copy the shell and pop first.
-  Entry entry = std::move(const_cast<Entry&>(queue_.top()));
+  const Key key = queue_.top();
   queue_.pop();
-  clock_.AdvanceTo(entry.time);
+  // Move the callback out before running it: it may schedule events that
+  // grow slots_ or reuse this slot.
+  Callback cb = std::move(slots_[key.slot]);
+  free_slots_.push_back(key.slot);
+  clock_.AdvanceTo(key.time);
   ++executed_;
-  entry.cb();
+  cb();
   return true;
 }
 
@@ -40,7 +51,9 @@ std::optional<Timestamp> Simulator::RunSampled(
   // A tick past the deadline would never run; not scheduling it keeps the
   // queue free of callbacks that outlive this frame.
   auto schedule = [&] {
-    if (Now() + every <= deadline) ScheduleAfter(every, sample);
+    if (Now() + every <= deadline) {
+      ScheduleAfter(every, [&sample] { sample(); });
+    }
   };
   sample = [&] {
     if (tick()) {

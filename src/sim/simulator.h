@@ -13,16 +13,24 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "sim/callback.h"
 
 namespace graphtides {
 
 /// \brief Event-loop over virtual time.
 ///
-/// Callbacks scheduled at equal timestamps run in scheduling order
-/// (FIFO tie-break via sequence numbers), which keeps runs deterministic.
+/// Callbacks run in (time, sequence) order: equal timestamps run in
+/// scheduling order, which keeps runs deterministic.
+///
+/// Event storage: each callback lives in a reused slot of a slot array
+/// (SimCallback keeps small captures inline), and a binary min-heap of
+/// (time, sequence, slot) keys orders them. Scheduling therefore performs
+/// no per-event heap allocation once the arrays have grown to the peak
+/// number of pending events, and heap sifts move 24-byte keys rather than
+/// callbacks.
 class Simulator {
  public:
-  using Callback = std::function<void()>;
+  using Callback = SimCallback;
 
   Timestamp Now() const { return clock_.Now(); }
   const Clock* clock() const { return &clock_; }
@@ -54,20 +62,23 @@ class Simulator {
   uint64_t callbacks_executed() const { return executed_; }
 
  private:
-  struct Entry {
+  struct Key {
     Timestamp time;
     uint64_t seq;
-    Callback cb;
+    uint32_t slot;
   };
-  struct EntryLater {
-    bool operator()(const Entry& a, const Entry& b) const {
+  struct KeyLater {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
   };
 
   VirtualClock clock_;
-  std::priority_queue<Entry, std::vector<Entry>, EntryLater> queue_;
+  std::priority_queue<Key, std::vector<Key>, KeyLater> queue_;
+  /// Callback storage indexed by Key::slot; free slots are reused LIFO.
+  std::vector<Callback> slots_;
+  std::vector<uint32_t> free_slots_;
   uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
 };

@@ -197,6 +197,40 @@ TEST(SimProcessTest, WorkAfterRecoveryCompletesNormally) {
   EXPECT_EQ(proc.lost_submissions(), 0u);
 }
 
+TEST(SimProcessTest, KillRecoverSubmitRunsOnlyNewCompletionsInOrder) {
+  // Stale completions from before the kill stay suppressed even when their
+  // events fire after the recovery; work submitted afterwards completes in
+  // submission order, including zero-cost work at the same instant.
+  Simulator sim;
+  SimProcess proc(&sim, "p");
+  std::vector<std::string> log;
+  for (int i = 0; i < 3; ++i) {
+    proc.Submit(Duration::FromMillis(10), [&log, i] {
+      log.push_back("old" + std::to_string(i));
+    });
+  }
+  sim.ScheduleAt(Timestamp::FromMillis(5), [&] {
+    proc.Kill();
+    proc.Recover();
+    proc.Submit(Duration::FromMillis(20), [&] {
+      log.push_back("new0@" + std::to_string(sim.Now().millis()));
+    });
+    proc.Submit(Duration::Zero(), [&] {
+      log.push_back("new1@" + std::to_string(sim.Now().millis()));
+      proc.Submit(Duration::FromMillis(1), [&] {
+        log.push_back("new3@" + std::to_string(sim.Now().millis()));
+      });
+    });
+    proc.Submit(Duration::FromMillis(5), [&] {
+      log.push_back("new2@" + std::to_string(sim.Now().millis()));
+    });
+  });
+  sim.RunUntilIdle();
+  EXPECT_EQ(log, (std::vector<std::string>{"new0@25", "new1@25", "new2@30",
+                                           "new3@31"}));
+  EXPECT_EQ(proc.kills(), 1u);
+}
+
 TEST(SimProcessTest, KillAndRecoverAreIdempotent) {
   Simulator sim;
   SimProcess proc(&sim, "p");

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -35,6 +38,76 @@ TEST(SimulatorTest, EqualTimestampsFifo) {
   }
   sim.RunUntilIdle();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(SimulatorTest, EqualTimestampsFifoWithMoveOnlyAndLargeCaptures) {
+  // Inline (small), heap-held (larger than SimCallback::kInlineSize) and
+  // move-only captures interleave at one timestamp and still run in
+  // scheduling order, including callbacks scheduled while others run.
+  Simulator sim;
+  std::vector<int> order;
+  std::array<int64_t, 16> big{};
+  big[15] = 7;
+  static_assert(sizeof(big) > SimCallback::kInlineSize);
+  for (int i = 0; i < 12; ++i) {
+    switch (i % 3) {
+      case 0:
+        sim.ScheduleAt(Timestamp::FromMillis(5),
+                       [&order, i] { order.push_back(i); });
+        break;
+      case 1:
+        sim.ScheduleAt(Timestamp::FromMillis(5), [&order, i, big] {
+          order.push_back(i + static_cast<int>(big[15]) - 7);
+        });
+        break;
+      default:
+        sim.ScheduleAt(Timestamp::FromMillis(5),
+                       [&order, &sim, p = std::make_unique<int>(i)] {
+                         order.push_back(*p);
+                         // Scheduled at the same instant: runs after
+                         // everything already queued for it.
+                         sim.ScheduleAt(sim.Now(), [&order, v = *p + 100] {
+                           order.push_back(v);
+                         });
+                       });
+        break;
+    }
+  }
+  sim.RunUntilIdle();
+  const std::vector<int> expected = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
+                                     102, 105, 108, 111};
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(sim.callbacks_executed(), 16u);
+}
+
+TEST(SimulatorTest, SlotReuseKeepsTimeOrder) {
+  // Freed slots are reused for later events; order must follow (time,
+  // scheduling order) only, never slot numbers.
+  Simulator sim;
+  std::vector<int> order;
+  sim.ScheduleAt(Timestamp::FromMillis(1), [&] {
+    order.push_back(1);
+    sim.ScheduleAt(Timestamp::FromMillis(4), [&] { order.push_back(4); });
+    sim.ScheduleAt(Timestamp::FromMillis(3), [&] { order.push_back(3); });
+  });
+  sim.ScheduleAt(Timestamp::FromMillis(2), [&] { order.push_back(2); });
+  sim.ScheduleAt(Timestamp::FromMillis(4), [&] { order.push_back(40); });
+  sim.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 40, 4}));
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(SimCallbackTest, EmptyTargetsYieldEmptyCallbacks) {
+  EXPECT_FALSE(SimCallback());
+  EXPECT_FALSE(SimCallback(nullptr));
+  EXPECT_FALSE(SimCallback(std::function<void()>()));
+  int calls = 0;
+  SimCallback cb([&calls] { ++calls; });
+  ASSERT_TRUE(cb);
+  SimCallback moved = std::move(cb);
+  EXPECT_FALSE(cb);  // NOLINT: moved-from state is specified as empty
+  moved();
+  EXPECT_EQ(calls, 1);
 }
 
 TEST(SimulatorTest, ClockAdvancesToCallbackTime) {

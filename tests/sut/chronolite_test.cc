@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+#include <string>
+#include <utility>
+
 #include "algorithms/pagerank.h"
 #include "common/random.h"
 #include "graph/csr.h"
@@ -184,6 +189,75 @@ TEST(ChronoLiteTest, CollectMetricsHasPerWorkerEntries) {
     if (name.find("queue_length.") == 0) ++queue_metrics;
   }
   EXPECT_EQ(queue_metrics, 3u);
+
+  auto collect = [&engine] {
+    std::map<std::string, double> by_name;
+    for (const auto& [name, value] : engine.CollectMetrics()) {
+      EXPECT_TRUE(by_name.emplace(name, value).second) << name;
+    }
+    return by_name;
+  };
+  // A burst backlogs the broker links at once; a few milliseconds later
+  // residual batches sit in the worker queues next to updates, and the
+  // deltas counter matches the engine's.
+  for (const Event& e : RandomStream(60, 400, 11)) engine.Ingest(e);
+  auto by_name = collect();
+  ASSERT_TRUE(by_name.contains("broker_link_backlog_s"));
+  EXPECT_GT(by_name["broker_link_backlog_s"], 0.0);
+  sim.RunUntil(sim.Now() + Duration::FromMillis(5));
+  by_name = collect();
+  ASSERT_TRUE(by_name.contains("residual_deltas"));
+  EXPECT_EQ(by_name["residual_deltas"],
+            static_cast<double>(engine.residual_deltas()));
+  EXPECT_GE(by_name["residual_deltas"], by_name["residual_messages"]);
+  double queued_batches = 0.0;
+  for (size_t i = 0; i < 3; ++i) {
+    const std::string batches = "queued_residual_batches." + std::to_string(i);
+    const std::string length = "queue_length." + std::to_string(i);
+    ASSERT_TRUE(by_name.contains(batches)) << batches;
+    EXPECT_LE(by_name[batches], by_name[length]);
+    queued_batches += by_name[batches];
+  }
+  EXPECT_GT(queued_batches, 0.0);
+
+  sim.RunUntilIdle();
+  for (const auto& [name, value] : engine.CollectMetrics()) {
+    if (name.find("queued_residual_batches.") == 0 ||
+        name == "broker_link_backlog_s") {
+      EXPECT_EQ(value, 0.0) << name;
+    }
+  }
+}
+
+TEST(ChronoLiteTest, SameStreamGivesBitIdenticalResults) {
+  // Residual batches go out in first-insertion order, so two engines fed
+  // the same stream agree bit for bit, mid-run and after draining.
+  const auto events = RandomStream(80, 600, 12);
+  auto run = [&events](Duration stop_after) {
+    Simulator sim;
+    ChronoLiteOptions options;
+    options.rank.push_threshold = 1e-3;
+    ChronoLite engine(&sim, options);
+    for (size_t i = 0; i < events.size(); ++i) {
+      sim.ScheduleAt(Timestamp::FromMicros(static_cast<int64_t>(i) * 200),
+                     [&engine, &e = events[i]] { engine.Ingest(e); });
+    }
+    sim.RunUntil(Timestamp() + stop_after);
+    return std::make_pair(engine.AllRanks(), engine.CollectMetrics());
+  };
+  for (const Duration stop : {Duration::FromMillis(60),
+                              Duration::FromSeconds(30.0)}) {
+    const auto a = run(stop);
+    const auto b = run(stop);
+    ASSERT_FALSE(a.first.empty());
+    ASSERT_EQ(a.first.size(), b.first.size());
+    for (const auto& [v, rank] : a.first) {
+      auto it = b.first.find(v);
+      ASSERT_NE(it, b.first.end()) << v;
+      EXPECT_EQ(std::memcmp(&rank, &it->second, sizeof(double)), 0) << v;
+    }
+    EXPECT_EQ(a.second, b.second);
+  }
 }
 
 TEST(ChronoLiteTest, VertexRemovalDropsRank) {
