@@ -222,6 +222,33 @@ TEST(OnlinePageRankCoreTest, TopologyCorrectionsFlushedToRemotes) {
   EXPECT_NEAR(delta_to_1 + delta_to_3, 0.0, 1e-12);
 }
 
+TEST(OnlinePageRankCoreTest, ResidualForAbsentVertexIsDropped) {
+  // A vertex is present from AddVertex until RemoveVertex. A push over a
+  // stale edge gives a removed local vertex "ghost" state again; deltas
+  // for it, and for never-added ids, are dropped until it is re-added.
+  OnlinePageRankOptions options;
+  OnlinePageRankCore core(options, [](VertexId) { return true; });
+  core.AddVertex(0);
+  core.AddVertex(1);
+  core.AddEdge(0, 1);
+  core.RemoveVertex(1, {});
+  core.AddResidualIfPresent(7, 5.0);
+  EXPECT_EQ(core.num_tracked(), 1u);
+  while (core.HasPendingWork()) {
+    core.ProcessPushes(100, [](VertexId, double) {});
+  }
+  ASSERT_EQ(core.num_tracked(), 2u);  // 1 is back as a ghost
+  const double ghost = core.EstimateOf(1);
+  core.AddResidualIfPresent(1, 5.0);
+  EXPECT_FALSE(core.HasPendingWork());
+  core.AddVertex(1);
+  core.AddResidualIfPresent(1, 5.0);
+  while (core.HasPendingWork()) {
+    core.ProcessPushes(100, [](VertexId, double) {});
+  }
+  EXPECT_NEAR(core.EstimateOf(1), ghost + 6.0, 1e-3);
+}
+
 TEST(OnlinePageRankTest, InterleavedProcessingStaysAccurate) {
   // The invariant-preserving corrections keep interleaved ingest+compute
   // convergent — the failure mode of naive re-injection schemes.
