@@ -6,8 +6,11 @@
 // tests pin the parallel implementations to the sequential golden ones.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -102,6 +105,43 @@ std::vector<double> ReferencePageRank(const CsrGraph& graph,
   return rank;
 }
 
+/// Brute-force triangle and wedge counts over the undirected view,
+/// independent of the kernel: std::set neighborhoods (flattened to sorted
+/// vectors for speed), one std::set_intersection per undirected edge. Each
+/// triangle closes three edges.
+struct OracleTriangles {
+  uint64_t edge_closures = 0;
+  uint64_t wedges = 0;
+};
+
+OracleTriangles BruteForceTriangles(const CsrGraph& graph) {
+  using Index = CsrGraph::Index;
+  const size_t n = graph.num_vertices();
+  std::vector<std::set<Index>> sets(n);
+  for (Index u = 0; u < n; ++u) {
+    for (Index v : graph.OutNeighbors(u)) {
+      sets[u].insert(v);
+      sets[v].insert(u);
+    }
+  }
+  std::vector<std::vector<Index>> adj(n);
+  for (size_t u = 0; u < n; ++u) adj[u].assign(sets[u].begin(), sets[u].end());
+  OracleTriangles oracle;
+  std::vector<Index> common;
+  for (Index u = 0; u < n; ++u) {
+    const uint64_t d = adj[u].size();
+    if (d >= 2) oracle.wedges += d * (d - 1) / 2;
+    for (Index v : adj[u]) {
+      if (v <= u) continue;
+      common.clear();
+      std::set_intersection(adj[u].begin(), adj[u].end(), adj[v].begin(),
+                            adj[v].end(), std::back_inserter(common));
+      oracle.edge_closures += common.size();
+    }
+  }
+  return oracle;
+}
+
 class ParallelKernelsTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ParallelKernelsTest, CsrBuildIsThreadCountInvariant) {
@@ -170,6 +210,24 @@ TEST_P(ParallelKernelsTest, TrianglesAreThreadCountInvariant) {
         << "threads=" << threads;
     // Integer triangle and wedge counts divide identically on every path.
     EXPECT_EQ(GlobalClusteringCoefficient(csr, threads), reference_gcc)
+        << "threads=" << threads;
+  }
+}
+
+TEST_P(ParallelKernelsTest, TrianglesMatchBruteForceOracle) {
+  const Graph graph = MakeGraphFor(GetParam());
+  const CsrGraph csr = CsrGraph::FromGraph(graph, 1);
+  const OracleTriangles oracle = BruteForceTriangles(csr);
+  ASSERT_EQ(oracle.edge_closures % 3, 0u);
+  const uint64_t triangles = oracle.edge_closures / 3;
+  const double gcc =
+      oracle.wedges == 0 ? 0.0
+                         : 3.0 * static_cast<double>(triangles) /
+                               static_cast<double>(oracle.wedges);
+  for (const size_t threads : kThreadCounts) {
+    EXPECT_EQ(CountTriangles(csr, threads), triangles)
+        << "threads=" << threads;
+    EXPECT_EQ(GlobalClusteringCoefficient(csr, threads), gcc)
         << "threads=" << threads;
   }
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <utility>
+
 namespace graphtides {
 namespace {
 
@@ -101,6 +104,92 @@ TEST(ClusteringTest, KnownSmallGraph) {
 TEST(ClusteringTest, EmptyGraphIsZero) {
   EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(CsrGraph::FromGraph(Graph())),
                    0.0);
+}
+
+/// Graph on ids [0, n) with one edge a -> b per pair; `both_directions`
+/// adds b -> a too.
+Graph FromPairs(size_t n, std::initializer_list<std::pair<VertexId, VertexId>>
+                              pairs,
+                bool both_directions = false) {
+  Graph g;
+  for (VertexId v = 0; v < n; ++v) EXPECT_TRUE(g.AddVertex(v).ok());
+  for (const auto& [a, b] : pairs) {
+    EXPECT_TRUE(g.AddEdge(a, b).ok());
+    if (both_directions) {
+      EXPECT_TRUE(g.AddEdge(b, a).ok());
+    }
+  }
+  return g;
+}
+
+/// Wheel: hub 0 joined to a rim cycle 1..rim. It has exactly `rim`
+/// triangles for rim >= 4; the hub outranks every rim vertex, and the rim
+/// vertices all tie on degree 3.
+Graph Wheel(size_t rim) {
+  Graph g;
+  for (VertexId v = 0; v <= rim; ++v) EXPECT_TRUE(g.AddVertex(v).ok());
+  for (VertexId v = 1; v <= rim; ++v) {
+    EXPECT_TRUE(g.AddEdge(0, v).ok());
+    EXPECT_TRUE(g.AddEdge(v, v % rim + 1).ok());
+  }
+  return g;
+}
+
+/// Every edge case runs sequentially and on the pool.
+class TrianglesEdgeCaseTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(TrianglesEdgeCaseTest, StarHasWedgesButNoTriangles) {
+  const Graph g =
+      FromPairs(7, {{1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 0}, {6, 0}});
+  const CsrGraph csr = CsrGraph::FromGraph(g);
+  EXPECT_EQ(CountTriangles(csr, GetParam()), 0u);
+  // 15 wedges at the hub, none closed.
+  EXPECT_EQ(GlobalClusteringCoefficient(csr, GetParam()), 0.0);
+}
+
+TEST_P(TrianglesEdgeCaseTest, ReciprocalFourCliqueHasFourTriangles) {
+  const Graph g =
+      FromPairs(4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}},
+                /*both_directions=*/true);
+  const CsrGraph csr = CsrGraph::FromGraph(g);
+  EXPECT_EQ(csr.num_edges(), 12u);
+  EXPECT_EQ(CountTriangles(csr, GetParam()), 4u);
+  EXPECT_EQ(GlobalClusteringCoefficient(csr, GetParam()), 1.0);
+}
+
+TEST_P(TrianglesEdgeCaseTest, FourCliqueMinusOneEdgeHasTwoTriangles) {
+  // Missing 0-3: vertices 0 and 3 tie at degree 2, 1 and 2 tie at 3.
+  const Graph g = FromPairs(4, {{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}});
+  const CsrGraph csr = CsrGraph::FromGraph(g);
+  EXPECT_EQ(CountTriangles(csr, GetParam()), 2u);
+  // Wedges: 1 + 3 + 3 + 1 = 8; C = 3 * 2 / 8.
+  EXPECT_EQ(GlobalClusteringCoefficient(csr, GetParam()), 0.75);
+}
+
+TEST_P(TrianglesEdgeCaseTest, IsolatedVerticesMixedIn) {
+  // Triangles {1,4,7} and {4,7,9} share edge 4-7; 0, 2, 3, 5, 6, 8, 10
+  // and 11 are isolated.
+  const Graph g = FromPairs(12, {{1, 4}, {4, 7}, {1, 7}, {7, 9}, {9, 4}});
+  const CsrGraph csr = CsrGraph::FromGraph(g);
+  EXPECT_EQ(CountTriangles(csr, GetParam()), 2u);
+  // Wedges: 1 (v1) + 3 (v4) + 3 (v7) + 1 (v9) = 8.
+  EXPECT_EQ(GlobalClusteringCoefficient(csr, GetParam()), 0.75);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, TrianglesEdgeCaseTest,
+                         ::testing::Values(1, 8));
+
+TEST(TrianglesScratchTest, ReusedAcrossShrinkingAndGrowingGraphs) {
+  // The per-thread marks outlive each call: they must come back all-zero
+  // and grow for a larger graph. Large, then small, then larger again.
+  const CsrGraph large = CsrGraph::FromGraph(Wheel(20000));
+  const CsrGraph small = CsrGraph::FromGraph(CompleteDirected(6));
+  const CsrGraph larger = CsrGraph::FromGraph(Wheel(30000));
+  for (const size_t threads : {1, 8}) {
+    EXPECT_EQ(CountTriangles(large, threads), 20000u) << threads;
+    EXPECT_EQ(CountTriangles(small, threads), 20u) << threads;
+    EXPECT_EQ(CountTriangles(larger, threads), 30000u) << threads;
+  }
 }
 
 }  // namespace
