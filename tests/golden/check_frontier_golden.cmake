@@ -1,15 +1,15 @@
-# Runs the chronolite frontier sweep that CI's capacity-smoke job runs and
-# byte-compares its artifact with the checked-in golden copy, so every
-# toolchain that builds the tree checks it.
+# Runs the tiny social frontier sweep (seed 42) that CI's capacity-smoke job
+# runs for one simulated SUT and byte-compares its artifact with the
+# checked-in golden copy, so every toolchain that builds the tree checks it.
 #
-#   cmake -DCAMPAIGN=<gt_campaign> -DGOLDEN=<golden json> -DOUT=<artifact>
-#         -P check_frontier_golden.cmake
+#   cmake -DCAMPAIGN=<gt_campaign> -DSUT=<chronolite|weaverlite>
+#         -DGOLDEN=<golden json> -DOUT=<artifact> -P check_frontier_golden.cmake
 #
-# chronolite's outputs depend on neither the run nor the standard library's
-# hash; a mismatch means a change moved its numbers (or a toolchain's
-# floating-point results differ). Regenerate the golden file only on purpose,
+# Both SUTs' outputs depend on neither the run nor the standard library's
+# hash; a mismatch means a change moved their numbers (or a toolchain's
+# floating-point results differ). Regenerate a golden file only on purpose,
 # and record old -> new in the change log.
-foreach(var CAMPAIGN GOLDEN OUT)
+foreach(var CAMPAIGN SUT GOLDEN OUT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "${var} is not set")
   endif()
@@ -17,7 +17,7 @@ endforeach()
 
 file(REMOVE "${OUT}")
 execute_process(
-  COMMAND "${CAMPAIGN}" --frontier --sut chronolite --workload social
+  COMMAND "${CAMPAIGN}" --frontier --sut ${SUT} --workload social
           --size tiny --slo-p99-ms 30 --start-rate 1000 --max-rate 200000
           --repetitions 2 --seed 42 --max-duration-s 120 --frontier-out "${OUT}"
   RESULT_VARIABLE rc
