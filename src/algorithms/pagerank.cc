@@ -6,6 +6,7 @@
 
 #include "common/parallel.h"
 #include "common/stats.h"
+#include "graph/graph.h"
 
 namespace graphtides {
 
@@ -106,6 +107,58 @@ double MedianRelativeError(const std::vector<double>& approx,
     errors.push_back(std::abs(approx[i] - exact[i]) / exact[i]);
   }
   return Median(std::move(errors));
+}
+
+std::vector<VertexId> TopRankedVertices(const std::vector<Event>& stream,
+                                        size_t k, size_t threads) {
+  Graph graph;
+  for (const Event& e : stream) {
+    (void)graph.Apply(e);  // faults are rejected here as in the SUTs
+  }
+  const CsrGraph csr = CsrGraph::FromGraph(graph, threads);
+  const PageRankResult pr = PageRank(csr, {.threads = threads});
+  std::vector<VertexId> top;
+  for (CsrGraph::Index idx : TopKByRank(pr.ranks, k)) {
+    top.push_back(csr.IdOf(idx));
+  }
+  return top;
+}
+
+std::vector<std::optional<double>> RetrospectiveRankErrors(
+    const std::vector<Event>& stream,
+    const std::vector<Timestamp>& delivery_times,
+    const std::vector<RankEstimate>& estimates,
+    const std::vector<VertexId>& tracked, size_t threads) {
+  std::vector<const Event*> graph_events;
+  graph_events.reserve(delivery_times.size());
+  for (const Event& e : stream) {
+    if (IsGraphOp(e.type)) graph_events.push_back(&e);
+  }
+  std::vector<std::optional<double>> errors_at;
+  errors_at.reserve(estimates.size());
+  Graph reconstructed;
+  size_t cursor = 0;
+  for (const RankEstimate& estimate : estimates) {
+    while (cursor < graph_events.size() && cursor < delivery_times.size() &&
+           delivery_times[cursor] <= estimate.time) {
+      (void)reconstructed.Apply(*graph_events[cursor]);
+      ++cursor;
+    }
+    std::optional<double>& error = errors_at.emplace_back();
+    if (reconstructed.num_vertices() == 0) continue;
+    const CsrGraph csr = CsrGraph::FromGraph(reconstructed, threads);
+    const PageRankResult exact = PageRank(csr, {.threads = threads});
+    std::vector<double> errors;
+    for (size_t i = 0; i < tracked.size(); ++i) {
+      CsrGraph::Index idx;
+      if (!csr.IndexOf(tracked[i], &idx)) continue;
+      const double exact_rank = exact.ranks[idx];
+      if (exact_rank <= 0.0) continue;
+      errors.push_back(std::abs(estimate.ranks[i] - exact_rank) / exact_rank);
+    }
+    if (!errors.empty()) error = Median(std::move(errors));
+  }
+  return errors_at;
 }
 
 }  // namespace graphtides

@@ -8,9 +8,12 @@
 #define GRAPHTIDES_ALGORITHMS_PAGERANK_H_
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
+#include "common/clock.h"
 #include "graph/csr.h"
+#include "stream/event.h"
 
 namespace graphtides {
 
@@ -46,6 +49,34 @@ std::vector<CsrGraph::Index> TopKByRank(const std::vector<double>& ranks,
 /// Vertices whose exact rank is 0 are skipped. Vector sizes must match.
 double MedianRelativeError(const std::vector<double>& approx,
                            const std::vector<double>& exact);
+
+// --- Exact-rank reference (§4.3: "by reconstructing the target graph and
+// running a separate batch computation") ------------------------------------
+
+/// \brief The k vertices with the highest exact PageRank on the graph the
+/// whole `stream` builds, descending (the "most influential users" whose
+/// estimates a run tracks).
+std::vector<VertexId> TopRankedVertices(const std::vector<Event>& stream,
+                                        size_t k, size_t threads);
+
+/// \brief A system's rank estimates for the tracked vertices at one instant.
+struct RankEstimate {
+  Timestamp time;
+  /// Aligned with the tracked vertices.
+  std::vector<double> ranks;
+};
+
+/// \brief Scores each estimate against exact PageRank on the graph
+/// reconstructed from the graph events of `stream` delivered by its time
+/// (`delivery_times[i]` is the delivery instant of the i-th graph event;
+/// estimates must be in time order). Each value is the median relative
+/// error over the tracked vertices with a positive exact rank, or nullopt
+/// when no tracked vertex has one yet.
+std::vector<std::optional<double>> RetrospectiveRankErrors(
+    const std::vector<Event>& stream,
+    const std::vector<Timestamp>& delivery_times,
+    const std::vector<RankEstimate>& estimates,
+    const std::vector<VertexId>& tracked, size_t threads);
 
 }  // namespace graphtides
 

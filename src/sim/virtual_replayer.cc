@@ -24,6 +24,8 @@ void VirtualReplayer::ScheduleNext() {
        ++cursor_) {
     const Event& event = events_[cursor_];
     if (event.type == EventType::kMarker) {
+      pending_markers_.push_back(
+          {event.payload, delivery_times_.size(), sim_->Now()});
       if (on_marker_) on_marker_(event.payload);
     } else {
       rate_.ApplyControl(event.type, event.rate_factor, event.pause);
@@ -51,6 +53,25 @@ void VirtualReplayer::Emit() {
   if (deliver_) deliver_(events_[cursor_], cursor_);
   ++cursor_;
   ScheduleNext();
+}
+
+void VirtualReplayer::ObserveApplied(uint64_t applied) {
+  while (!pending_markers_.empty() &&
+         pending_markers_.front().events_before <= applied) {
+    PendingMarker& marker = pending_markers_.front();
+    visible_markers_.push_back({std::move(marker.label), marker.sent,
+                                sim_->Now() - marker.sent});
+    pending_markers_.pop_front();
+  }
+}
+
+std::vector<Timestamp> VirtualReplayer::PendingMarkerSends() const {
+  std::vector<Timestamp> sends;
+  sends.reserve(pending_markers_.size());
+  for (const PendingMarker& marker : pending_markers_) {
+    sends.push_back(marker.sent);
+  }
+  return sends;
 }
 
 }  // namespace graphtides

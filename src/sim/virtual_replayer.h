@@ -6,9 +6,16 @@
 // and markers stamped right after the graph event before them. Simulated
 // SUT experiments thus see the golden replay's timing, deterministically
 // and fast.
+//
+// As the emitter it also owns marker visibility (§4.5 watermark pattern):
+// it queues each marker with its send instant and the number of graph
+// events before it, and turns it into a latency sample once the caller
+// reports that many events applied.
 #ifndef GRAPHTIDES_SIM_VIRTUAL_REPLAYER_H_
 #define GRAPHTIDES_SIM_VIRTUAL_REPLAYER_H_
 
+#include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -18,6 +25,15 @@
 #include "stream/event.h"
 
 namespace graphtides {
+
+/// \brief Ingestion-to-visibility latency of one in-stream marker: from the
+/// instant the marker passed the replayer to the instant the SUT was
+/// observed to have applied every graph event that preceded it.
+struct MarkerLatencySample {
+  std::string label;
+  Timestamp sent;
+  Duration latency;
+};
 
 /// \brief Schedules a stream's events onto a Simulator.
 class VirtualReplayer {
@@ -57,6 +73,18 @@ class VirtualReplayer {
   bool finished() const { return finished_; }
   Timestamp finished_at() const { return finished_at_; }
 
+  /// Reports that the SUT has applied `applied` graph events by now: every
+  /// queued marker with at most that many graph events before it becomes
+  /// visible, with its latency measured to the current virtual time.
+  void ObserveApplied(uint64_t applied);
+  /// Markers observed visible so far, in stream order.
+  const std::vector<MarkerLatencySample>& visible_markers() const {
+    return visible_markers_;
+  }
+  /// Send instants of the markers emitted but not yet visible, in stream
+  /// order.
+  std::vector<Timestamp> PendingMarkerSends() const;
+
  private:
   /// Consumes the markers and controls before the next graph event, then
   /// schedules that event at its slot (or finishes the stream).
@@ -76,6 +104,14 @@ class VirtualReplayer {
   Timestamp finished_at_;
   std::function<bool()> gate_;
   Duration throttled_;
+
+  struct PendingMarker {
+    std::string label;
+    uint64_t events_before = 0;
+    Timestamp sent;
+  };
+  std::deque<PendingMarker> pending_markers_;
+  std::vector<MarkerLatencySample> visible_markers_;
 };
 
 }  // namespace graphtides

@@ -1,7 +1,6 @@
 #include "suite/benchmark_suite.h"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
 
 #include "algorithms/pagerank.h"
@@ -11,8 +10,6 @@
 #include "generator/models/event_mix_model.h"
 #include "generator/models/social_network_model.h"
 #include "generator/stream_generator.h"
-#include "graph/csr.h"
-#include "graph/graph.h"
 #include "harness/report.h"
 #include "harness/telemetry/latency_histogram.h"
 #include "sim/virtual_replayer.h"
@@ -100,18 +97,8 @@ Result<SuiteCaseScore> RunSuiteCase(const SuiteWorkload& workload,
   if (workload.events.empty()) {
     return Status::InvalidArgument("empty workload: " + workload.name);
   }
-
-  // Tracked users: top-k of the final exact ranking.
-  Graph final_graph;
-  for (const Event& e : workload.events) (void)final_graph.Apply(e);
-  const CsrGraph final_csr =
-      CsrGraph::FromGraph(final_graph, options.compute_threads);
-  const PageRankResult final_pr =
-      PageRank(final_csr, {.threads = options.compute_threads});
-  std::vector<VertexId> tracked;
-  for (CsrGraph::Index idx : TopKByRank(final_pr.ranks, options.track_top_k)) {
-    tracked.push_back(final_csr.IdOf(idx));
-  }
+  const std::vector<VertexId> tracked = TopRankedVertices(
+      workload.events, options.track_top_k, options.compute_threads);
 
   Simulator sim;
   std::unique_ptr<SuiteConnector> connector = factory(&sim);
@@ -120,60 +107,37 @@ Result<SuiteCaseScore> RunSuiteCase(const SuiteWorkload& workload,
   }
 
   VirtualReplayer replayer(&sim, workload.rate_eps);
+  replayer.Start(workload.events,
+                 [&](const Event& e, size_t) { connector->Ingest(e); });
 
-  struct PendingWatermark {
-    uint64_t events_before;
-    Timestamp sent;
+  // Rank snapshots for retrospective accuracy. `idle_s` discounts the time
+  // the system has not changed since it drained from the result's age.
+  std::vector<RankEstimate> estimates;
+  RunningStats result_age;
+  auto snapshot = [&](double idle_s) {
+    const auto ranks = connector->CurrentRanks();
+    RankEstimate& estimate = estimates.emplace_back();
+    estimate.time = sim.Now();
+    for (VertexId v : tracked) {
+      auto it = ranks.find(v);
+      estimate.ranks.push_back(it == ranks.end() ? 0.0 : it->second);
+    }
+    const double age =
+        std::max(0.0, connector->ResultAge().seconds() - idle_s);
+    if (age < 1e8) result_age.Add(age);
   };
-  std::deque<PendingWatermark> pending_watermarks;
-  LatencyHistogram watermark_latencies;
-
-  bool stream_done = false;
-  replayer.Start(
-      workload.events,
-      [&](const Event& e, size_t) { connector->Ingest(e); },
-      [&](const std::string&) {
-        pending_watermarks.push_back(
-            {replayer.events_delivered(), sim.Now()});
-      },
-      [&] { stream_done = true; });
-
-  struct RankSnapshot {
-    Timestamp time;
-    std::vector<double> tracked_ranks;
-    double result_age_s;
-  };
-  std::vector<RankSnapshot> snapshots;
 
   const Timestamp t0 = sim.Now();
   const Timestamp deadline = t0 + options.max_duration;
   Timestamp next_rank_sample = t0 + options.error_interval;
-  RunningStats result_age;
-
   auto sample = [&] {
-    // Watermark visibility.
-    while (!pending_watermarks.empty() &&
-           connector->EventsApplied() >=
-               pending_watermarks.front().events_before) {
-      watermark_latencies.Record(sim.Now() - pending_watermarks.front().sent);
-      pending_watermarks.pop_front();
-    }
-    // Periodic rank snapshot for retrospective accuracy.
+    replayer.ObserveApplied(connector->EventsApplied());
     if (sim.Now() >= next_rank_sample) {
       next_rank_sample = next_rank_sample + options.error_interval;
-      const auto ranks = connector->CurrentRanks();
-      RankSnapshot snap;
-      snap.time = sim.Now();
-      for (VertexId v : tracked) {
-        auto it = ranks.find(v);
-        snap.tracked_ranks.push_back(it == ranks.end() ? 0.0 : it->second);
-      }
-      const double age = connector->ResultAge().seconds();
-      snap.result_age_s = age;
-      if (age < 1e8) result_age.Add(age);
-      snapshots.push_back(std::move(snap));
+      snapshot(0.0);
     }
-    return stream_done && connector->Idle() && pending_watermarks.empty();
+    return replayer.finished() && connector->Idle() &&
+           replayer.PendingMarkerSends().empty();
   };
   const std::optional<Timestamp> drained_at =
       sim.RunSampled(options.sample_interval, deadline, sample);
@@ -182,22 +146,7 @@ Result<SuiteCaseScore> RunSuiteCase(const SuiteWorkload& workload,
   // published result is always scored. RunUntil advanced the clock to the
   // deadline even for early-drained runs; staleness is therefore taken
   // relative to the drain instant, where the system last changed.
-  {
-    const auto ranks = connector->CurrentRanks();
-    RankSnapshot snap;
-    snap.time = sim.Now();
-    for (VertexId v : tracked) {
-      auto it = ranks.find(v);
-      snap.tracked_ranks.push_back(it == ranks.end() ? 0.0 : it->second);
-    }
-    double age = connector->ResultAge().seconds();
-    if (drained_at) {
-      age = std::max(0.0, age - (sim.Now() - *drained_at).seconds());
-    }
-    snap.result_age_s = age;
-    if (age < 1e8) result_age.Add(age);
-    snapshots.push_back(std::move(snap));
-  }
+  snapshot(drained_at ? (sim.Now() - *drained_at).seconds() : 0.0);
 
   SuiteCaseScore score;
   score.workload = workload.name;
@@ -210,51 +159,25 @@ Result<SuiteCaseScore> RunSuiteCase(const SuiteWorkload& workload,
     score.applied_rate_eps =
         static_cast<double>(connector->EventsApplied()) / score.drained_s;
   }
+  LatencyHistogram watermark_latencies;
+  for (const MarkerLatencySample& m : replayer.visible_markers()) {
+    watermark_latencies.Record(m.latency);
+  }
   if (!watermark_latencies.empty()) {
     score.watermark_p50_s = watermark_latencies.ValueAtQuantileSeconds(0.5);
     score.watermark_p99_s = watermark_latencies.ValueAtQuantileSeconds(0.99);
   }
   score.mean_result_age_s = result_age.mean();
 
-  // Retrospective accuracy: exact PageRank on the reconstructed graph at
-  // each snapshot time.
-  const std::vector<Timestamp>& delivery_times = replayer.delivery_times();
-  std::vector<const Event*> graph_events;
-  graph_events.reserve(delivery_times.size());
-  for (const Event& e : workload.events) {
-    if (IsGraphOp(e.type)) graph_events.push_back(&e);
-  }
-  Graph reconstructed;
-  size_t cursor = 0;
   RunningStats error_stats;
-  double final_error = -1.0;
-  for (const RankSnapshot& snap : snapshots) {
-    while (cursor < graph_events.size() && cursor < delivery_times.size() &&
-           delivery_times[cursor] <= snap.time) {
-      (void)reconstructed.Apply(*graph_events[cursor]);
-      ++cursor;
-    }
-    if (reconstructed.num_vertices() == 0) continue;
-    const CsrGraph csr =
-        CsrGraph::FromGraph(reconstructed, options.compute_threads);
-    const PageRankResult exact =
-        PageRank(csr, {.threads = options.compute_threads});
-    std::vector<double> errors;
-    for (size_t i = 0; i < tracked.size(); ++i) {
-      CsrGraph::Index idx;
-      if (!csr.IndexOf(tracked[i], &idx)) continue;
-      if (exact.ranks[idx] <= 0.0) continue;
-      errors.push_back(std::abs(snap.tracked_ranks[i] - exact.ranks[idx]) /
-                       exact.ranks[idx]);
-    }
-    if (errors.empty()) continue;
-    final_error = Median(std::move(errors));
-    error_stats.Add(final_error);
+  for (const std::optional<double>& error : RetrospectiveRankErrors(
+           workload.events, replayer.delivery_times(), estimates, tracked,
+           options.compute_threads)) {
+    if (!error) continue;
+    score.final_rank_error = *error;
+    error_stats.Add(*error);
   }
-  if (error_stats.count() > 0) {
-    score.mean_rank_error = error_stats.mean();
-    score.final_rank_error = final_error;
-  }
+  if (error_stats.count() > 0) score.mean_rank_error = error_stats.mean();
   return score;
 }
 
@@ -275,45 +198,30 @@ Result<CapacityPointScore> MeasureCapacityPoint(
   }
 
   VirtualReplayer replayer(&sim, rate_eps);
-
-  struct PendingWatermark {
-    uint64_t events_before;
-    Timestamp sent;
-  };
-  std::deque<PendingWatermark> pending_watermarks;
-  LatencyHistogram watermark_latencies;
-
-  bool stream_done = false;
-  replayer.Start(
-      workload.events,
-      [&](const Event& e, size_t) { connector->Ingest(e); },
-      [&](const std::string&) {
-        pending_watermarks.push_back(
-            {replayer.events_delivered(), sim.Now()});
-      },
-      [&] { stream_done = true; });
+  replayer.Start(workload.events,
+                 [&](const Event& e, size_t) { connector->Ingest(e); });
 
   const Timestamp t0 = sim.Now();
   const Timestamp deadline = t0 + options.max_duration;
   auto sample = [&] {
-    while (!pending_watermarks.empty() &&
-           connector->EventsApplied() >=
-               pending_watermarks.front().events_before) {
-      watermark_latencies.Record(sim.Now() - pending_watermarks.front().sent);
-      pending_watermarks.pop_front();
-    }
-    return stream_done && connector->Idle() && pending_watermarks.empty();
+    replayer.ObserveApplied(connector->EventsApplied());
+    return replayer.finished() && connector->Idle() &&
+           replayer.PendingMarkerSends().empty();
   };
   const std::optional<Timestamp> drained_at =
       sim.RunSampled(options.sample_interval, deadline, sample);
 
+  LatencyHistogram watermark_latencies;
+  for (const MarkerLatencySample& m : replayer.visible_markers()) {
+    watermark_latencies.Record(m.latency);
+  }
   if (!drained_at) {
     // Watermarks still invisible at the deadline are censored observations:
     // their true latency is at least their current age. Recording the age
     // keeps the p99 honest under partial saturation (some watermarks
     // surfaced early, later ones never did).
-    for (const PendingWatermark& wm : pending_watermarks) {
-      watermark_latencies.Record(sim.Now() - wm.sent);
+    for (Timestamp sent : replayer.PendingMarkerSends()) {
+      watermark_latencies.Record(sim.Now() - sent);
     }
   }
 
@@ -346,18 +254,8 @@ Result<CrashRecoveryReport> RunCrashRecoveryCase(
   if (workload.events.empty()) {
     return Status::InvalidArgument("empty workload: " + workload.name);
   }
-
-  // Tracked users: top-k of the final exact ranking (as in RunSuiteCase).
-  Graph final_graph;
-  for (const Event& e : workload.events) (void)final_graph.Apply(e);
-  const CsrGraph final_csr =
-      CsrGraph::FromGraph(final_graph, options.compute_threads);
-  const PageRankResult final_pr =
-      PageRank(final_csr, {.threads = options.compute_threads});
-  std::vector<VertexId> tracked;
-  for (CsrGraph::Index idx : TopKByRank(final_pr.ranks, options.track_top_k)) {
-    tracked.push_back(final_csr.IdOf(idx));
-  }
+  const std::vector<VertexId> tracked = TopRankedVertices(
+      workload.events, options.track_top_k, options.compute_threads);
 
   Simulator sim;
   RecoverableOptions rec_options;
@@ -365,12 +263,8 @@ Result<CrashRecoveryReport> RunCrashRecoveryCase(
   RecoverableConnector connector(&sim, factory, rec_options);
 
   VirtualReplayer replayer(&sim, workload.rate_eps);
-
-  bool stream_done = false;
-  replayer.Start(
-      workload.events,
-      [&](const Event& e, size_t) { connector.Ingest(e); }, {},
-      [&] { stream_done = true; });
+  replayer.Start(workload.events,
+                 [&](const Event& e, size_t) { connector.Ingest(e); });
 
   const Timestamp t0 = sim.Now();
   const Timestamp deadline = t0 + options.max_duration;
@@ -391,7 +285,7 @@ Result<CrashRecoveryReport> RunCrashRecoveryCase(
       catchup_seen = true;
       catchup_at = sim.Now();
     }
-    return stream_done && post_recovery && connector.Idle();
+    return replayer.finished() && post_recovery && connector.Idle();
   };
   const std::optional<Timestamp> drained_at =
       sim.RunSampled(options.sample_interval, deadline, sample);
@@ -411,18 +305,20 @@ Result<CrashRecoveryReport> RunCrashRecoveryCase(
   report.drained = drained_at.has_value();
   report.drained_s = (drained_at.value_or(sim.Now()) - t0).seconds();
 
+  // Post-recovery consistency: the final estimates against the exact ranks
+  // of the graph delivered by the end of the run.
   const auto ranks = connector.CurrentRanks();
-  std::vector<double> errors;
+  RankEstimate final_estimate{sim.Now(), {}};
   for (VertexId v : tracked) {
-    CsrGraph::Index idx;
-    if (!final_csr.IndexOf(v, &idx)) continue;
-    if (final_pr.ranks[idx] <= 0.0) continue;
     const auto it = ranks.find(v);
-    const double got = it == ranks.end() ? 0.0 : it->second;
-    errors.push_back(std::abs(got - final_pr.ranks[idx]) /
-                     final_pr.ranks[idx]);
+    final_estimate.ranks.push_back(it == ranks.end() ? 0.0 : it->second);
   }
-  if (!errors.empty()) report.final_rank_error = Median(std::move(errors));
+  const std::optional<double> error =
+      RetrospectiveRankErrors(workload.events, replayer.delivery_times(),
+                              {final_estimate}, tracked,
+                              options.compute_threads)
+          .front();
+  if (error) report.final_rank_error = *error;
   return report;
 }
 

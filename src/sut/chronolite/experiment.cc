@@ -1,46 +1,22 @@
 #include "sut/chronolite/experiment.h"
 
-#include <algorithm>
-#include <deque>
 #include <memory>
-#include <unordered_map>
+#include <optional>
 
 #include "algorithms/pagerank.h"
-#include "graph/csr.h"
-#include "graph/graph.h"
 #include "harness/metrics_logger.h"
 #include "sim/simulator.h"
-#include "sim/virtual_replayer.h"
 
 namespace graphtides {
-
-namespace {
-
-/// Exact final ranking determines which users to track (the paper dumps
-/// "intermediate processing results for the most influential users").
-std::vector<VertexId> PickTrackedUsers(const std::vector<Event>& stream,
-                                       size_t k, size_t threads) {
-  Graph graph;
-  for (const Event& e : stream) {
-    (void)graph.Apply(e);  // faults would be rejected here as in the SUT
-  }
-  const CsrGraph csr = CsrGraph::FromGraph(graph, threads);
-  const PageRankResult pr = PageRank(csr, {.threads = threads});
-  std::vector<VertexId> tracked;
-  for (CsrGraph::Index idx : TopKByRank(pr.ranks, k)) {
-    tracked.push_back(csr.IdOf(idx));
-  }
-  return tracked;
-}
-
-}  // namespace
 
 Result<ChronographExperimentResult> RunChronographExperiment(
     const std::vector<Event>& stream,
     const ChronographExperimentConfig& config) {
   ChronographExperimentResult result;
+  // The paper dumps "intermediate processing results for the most
+  // influential users": those of the final exact ranking.
   result.tracked_users =
-      PickTrackedUsers(stream, config.track_top_k, config.compute_threads);
+      TopRankedVertices(stream, config.track_top_k, config.compute_threads);
 
   Simulator sim;
   ChronoLiteOptions engine_options = config.engine;
@@ -56,47 +32,26 @@ Result<ChronographExperimentResult> RunChronographExperiment(
         "worker-" + std::to_string(i + 1), sim.clock()));
   }
 
-  // Watermark tracking (§4.5): a marker is "observed" once the engine has
-  // applied every graph event that preceded it in the stream.
-  struct PendingMarker {
-    std::string label;
-    uint64_t events_before = 0;
-    Timestamp sent;
-  };
-  std::deque<PendingMarker> pending_markers;
-  auto check_markers = [&](double) {
-    while (!pending_markers.empty() &&
-           engine.updates_applied() >= pending_markers.front().events_before) {
-      const PendingMarker& m = pending_markers.front();
-      result.marker_latency.push_back(
-          {m.label, m.sent, sim.Now() - m.sent});
-      pending_markers.pop_front();
-    }
-  };
+  // Watermark visibility (§4.5) is checked after every processed message.
   for (size_t i = 0; i < engine.num_workers(); ++i) {
-    engine.hooks().Attach("message_processed." + std::to_string(i),
-                          check_markers);
+    engine.hooks().Attach(
+        "message_processed." + std::to_string(i),
+        [&](double) { replayer.ObserveApplied(engine.updates_applied()); });
   }
 
-  bool stream_done = false;
   replayer.Start(
       stream, [&](const Event& event, size_t) { engine.Ingest(event); },
       [&](const std::string& label) {
         replayer_log.LogText("marker_sent", 1.0, label);
-        pending_markers.push_back(
-            {label, replayer.events_delivered(), sim.Now()});
-      },
-      [&] { stream_done = true; });
+      });
 
-  // Tracked-user estimate snapshots for retrospective error analysis.
-  struct EstimateSnapshot {
-    Timestamp time;
-    std::vector<double> rank;  // aligned with tracked_users
-  };
-  std::vector<EstimateSnapshot> snapshots;
+  // Tracked-user estimates, one per error evaluation point, for
+  // retrospective error analysis.
+  std::vector<RankEstimate> estimates;
 
   const Timestamp t0 = sim.Now();
   const Timestamp deadline = t0 + config.max_duration;
+  Timestamp next_eval = t0 + config.error_interval;
   uint64_t last_replayed = 0;
   std::vector<uint64_t> last_ops(engine.num_workers(), 0);
 
@@ -128,16 +83,18 @@ Result<ChronographExperimentResult> RunChronographExperiment(
       result.worker_queue_length[i].push_back(queue_length);
     }
 
-    // Periodic rank-estimate dump.
-    EstimateSnapshot snap;
-    snap.time = sim.Now();
-    snap.rank.reserve(result.tracked_users.size());
-    for (VertexId v : result.tracked_users) {
-      snap.rank.push_back(engine.RankOf(v));
+    // Rank-estimate dump at each error evaluation point.
+    if (sim.Now() >= next_eval) {
+      next_eval = sim.Now() + config.error_interval;
+      RankEstimate& estimate = estimates.emplace_back();
+      estimate.time = sim.Now();
+      estimate.ranks.reserve(result.tracked_users.size());
+      for (VertexId v : result.tracked_users) {
+        estimate.ranks.push_back(engine.RankOf(v));
+      }
     }
-    snapshots.push_back(std::move(snap));
 
-    return stream_done && engine.Idle() && sim.pending() == 0;
+    return replayer.finished() && engine.Idle() && sim.pending() == 0;
   };
   result.drained_at = sim.RunSampled(config.sample_interval, deadline, sample)
                           .value_or(deadline);
@@ -148,6 +105,7 @@ Result<ChronographExperimentResult> RunChronographExperiment(
   result.updates_applied = engine.updates_applied();
   result.residual_messages = engine.residual_messages();
   result.residual_deltas = engine.residual_deltas();
+  result.marker_latency = replayer.visible_markers();
 
   // CPU series.
   for (size_t i = 0; i < engine.num_workers(); ++i) {
@@ -161,56 +119,23 @@ Result<ChronographExperimentResult> RunChronographExperiment(
     }
   }
 
-  // Retrospective rank-error analysis: reconstruct the graph at each error
-  // evaluation point from the recorded delivery times and compare the
-  // online estimates against batch PageRank (§4.3 Computation Metrics).
-  {
-    const std::vector<Timestamp>& times = replayer.delivery_times();
-    // Graph events of the stream, in delivery order.
-    std::vector<const Event*> graph_events;
-    graph_events.reserve(times.size());
-    for (const Event& e : stream) {
-      if (IsGraphOp(e.type)) graph_events.push_back(&e);
-    }
-    Graph reconstructed;
-    size_t cursor = 0;
-    Timestamp next_eval = t0 + config.error_interval;
-    MetricsLogger error_log("analysis", sim.clock());
-    for (const EstimateSnapshot& snap : snapshots) {
-      if (snap.time < next_eval) continue;
-      next_eval = snap.time + config.error_interval;
-      while (cursor < graph_events.size() && cursor < times.size() &&
-             times[cursor] <= snap.time) {
-        (void)reconstructed.Apply(*graph_events[cursor]);
-        ++cursor;
-      }
-      if (reconstructed.num_vertices() == 0) continue;
-      const CsrGraph csr =
-          CsrGraph::FromGraph(reconstructed, config.compute_threads);
-      const PageRankResult exact =
-          PageRank(csr, {.threads = config.compute_threads});
-      std::vector<double> errors;
-      for (size_t i = 0; i < result.tracked_users.size(); ++i) {
-        CsrGraph::Index idx;
-        if (!csr.IndexOf(result.tracked_users[i], &idx)) continue;
-        const double exact_rank = exact.ranks[idx];
-        if (exact_rank <= 0.0) continue;
-        errors.push_back(std::abs(snap.rank[i] - exact_rank) / exact_rank);
-      }
-      RankErrorSample sample_out;
-      sample_out.time = snap.time;
-      sample_out.median_relative_error = Median(std::move(errors));
-      error_log.LogAt(snap.time, "rank_error",
-                      sample_out.median_relative_error);
-      result.rank_error.push_back(sample_out);
-    }
-
-    LogCollector collector;
-    collector.AddLogger(&replayer_log);
-    for (const auto& log : worker_logs) collector.AddLogger(log.get());
-    collector.AddLogger(&error_log);
-    result.log = collector.Collect();
+  // Retrospective rank-error analysis against batch PageRank on the graph
+  // reconstructed at each evaluation point (§4.3 Computation Metrics).
+  MetricsLogger error_log("analysis", sim.clock());
+  const std::vector<std::optional<double>> errors = RetrospectiveRankErrors(
+      stream, replayer.delivery_times(), estimates, result.tracked_users,
+      config.compute_threads);
+  for (size_t i = 0; i < estimates.size(); ++i) {
+    if (!errors[i]) continue;
+    error_log.LogAt(estimates[i].time, "rank_error", *errors[i]);
+    result.rank_error.push_back({estimates[i].time, *errors[i]});
   }
+
+  LogCollector collector;
+  collector.AddLogger(&replayer_log);
+  for (const auto& log : worker_logs) collector.AddLogger(log.get());
+  collector.AddLogger(&error_log);
+  result.log = collector.Collect();
   return result;
 }
 

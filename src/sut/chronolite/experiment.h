@@ -13,6 +13,7 @@
 
 #include "common/result.h"
 #include "harness/log_collector.h"
+#include "sim/virtual_replayer.h"
 #include "stream/event.h"
 #include "sut/chronolite/chronolite.h"
 
@@ -38,17 +39,9 @@ struct ChronographExperimentConfig {
 
 struct RankErrorSample {
   Timestamp time;
-  /// Median relative error over tracked users.
+  /// Median relative error over the tracked users that exist (with a
+  /// positive exact rank) by then; points with none are not recorded.
   double median_relative_error = 0.0;
-};
-
-/// \brief Ingestion-to-visibility latency of one in-stream marker (§4.5
-/// watermark pattern): from the instant the marker passed the replayer to
-/// the instant the engine had applied every event that preceded it.
-struct MarkerLatencySample {
-  std::string label;
-  Timestamp sent;
-  Duration latency;
 };
 
 struct ChronographExperimentResult {
@@ -71,7 +64,8 @@ struct ChronographExperimentResult {
   std::vector<std::vector<double>> worker_cpu;          // 0..1 per worker
   std::vector<RankErrorSample> rank_error;
 
-  /// Watermark latencies for every marker in the stream, in stream order.
+  /// Watermark latencies (§4.5) for every marker that became visible, in
+  /// stream order.
   std::vector<MarkerLatencySample> marker_latency;
 
   /// Tracked users (most influential by final exact rank).

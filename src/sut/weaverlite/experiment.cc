@@ -81,17 +81,13 @@ Result<WeaverExperimentResult> RunWeaverExperiment(
       return client.backlog_transactions() < config.client_backlog_limit_tx;
     });
   }
-  bool stream_done = false;
   replayer.Start(
       stream,
       [&](const Event& event, size_t) { client.OnEvent(event); },
       [&](const std::string& label) {
         replayer_log.LogText("marker", 1.0, label);
       },
-      [&] {
-        stream_done = true;
-        client.Flush();
-      });
+      [&] { client.Flush(); });
 
   // Periodic sampler: processed-events delta, queue lengths.
   const Timestamp t0 = sim.Now();
@@ -110,7 +106,7 @@ Result<WeaverExperimentResult> RunWeaverExperiment(
     last_applied = applied;
     // The sampler itself is executing (not pending); zero pending work
     // means emission, timestamping, routing, and shard applies are done.
-    return stream_done && client.Idle() &&
+    return replayer.finished() && client.Idle() &&
            store.admission_queue_length() == 0 && sim.pending() == 0;
   };
   const bool drained =

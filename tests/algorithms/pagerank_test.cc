@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
 
 #include "common/random.h"
+#include "graph/graph.h"
 
 namespace graphtides {
 namespace {
@@ -149,6 +151,68 @@ TEST(MedianRelativeErrorTest, KnownError) {
 
 TEST(MedianRelativeErrorTest, SkipsZeroExact) {
   EXPECT_NEAR(MedianRelativeError({0.6, 123.0}, {0.5, 0.0}), 0.2, 1e-12);
+}
+
+// A star: leaves 1..4 point at hub 0, which joins last.
+std::vector<Event> StarStream() {
+  std::vector<Event> stream;
+  for (VertexId v = 1; v <= 4; ++v) stream.push_back(Event::AddVertex(v));
+  stream.push_back(Event::Marker("M"));
+  stream.push_back(Event::AddVertex(0));
+  for (VertexId v = 1; v <= 4; ++v) stream.push_back(Event::AddEdge(v, 0));
+  return stream;
+}
+
+TEST(TopRankedVerticesTest, HubOfTheFinalGraphFirst) {
+  const std::vector<VertexId> top = TopRankedVertices(StarStream(), 2, 1);
+  ASSERT_EQ(top.size(), 2u);
+  EXPECT_EQ(top[0], 0u);
+  EXPECT_EQ(top[1], 1u);  // the leaves tie; the lowest index wins
+}
+
+TEST(RetrospectiveRankErrorsTest, ScoresAgainstTheGraphDeliveredByThen) {
+  // Graph event i is delivered at i seconds (the marker is not one).
+  std::vector<Timestamp> delivery;
+  for (int i = 0; i < 9; ++i) delivery.push_back(Timestamp::FromSeconds(i));
+  const std::vector<VertexId> tracked = {0, 1};
+
+  // The exact ranks of the final star, for a perfect final estimate.
+  Graph star;
+  ASSERT_TRUE(star.ApplyAll(StarStream()).ok());
+  const CsrGraph csr = CsrGraph::FromGraph(star);
+  const PageRankResult exact = PageRank(csr);
+  CsrGraph::Index hub;
+  CsrGraph::Index leaf;
+  ASSERT_TRUE(csr.IndexOf(0, &hub));
+  ASSERT_TRUE(csr.IndexOf(1, &leaf));
+
+  const std::vector<RankEstimate> estimates = {
+      // Nothing delivered yet.
+      {Timestamp::FromSeconds(-1), {0.5, 0.5}},
+      // Leaves 1..4 only (uniform 0.25 each); vertex 0 does not exist yet,
+      // so only vertex 1 is scored: |0.5 - 0.25| / 0.25.
+      {Timestamp::FromSeconds(3), {0.5, 0.5}},
+      // The final graph, estimated exactly.
+      {Timestamp::FromSeconds(8), {exact.ranks[hub], exact.ranks[leaf]}},
+  };
+  const std::vector<std::optional<double>> errors =
+      RetrospectiveRankErrors(StarStream(), delivery, estimates, tracked, 1);
+  ASSERT_EQ(errors.size(), 3u);
+  EXPECT_FALSE(errors[0].has_value());
+  ASSERT_TRUE(errors[1].has_value());
+  EXPECT_NEAR(*errors[1], 1.0, 1e-9);
+  ASSERT_TRUE(errors[2].has_value());
+  EXPECT_DOUBLE_EQ(*errors[2], 0.0);
+}
+
+TEST(RetrospectiveRankErrorsTest, NoTrackedVertexYetIsNotAScore) {
+  std::vector<Timestamp> delivery;
+  for (int i = 0; i < 9; ++i) delivery.push_back(Timestamp::FromSeconds(i));
+  // Only the leaves exist at t = 2; the tracked hub is not scored as 0.
+  const std::vector<std::optional<double>> errors = RetrospectiveRankErrors(
+      StarStream(), delivery, {{Timestamp::FromSeconds(2), {0.0}}}, {0}, 1);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_FALSE(errors[0].has_value());
 }
 
 }  // namespace

@@ -173,6 +173,39 @@ TEST(VirtualReplayerTest, GateThrottlesEmission) {
   EXPECT_TRUE(replayer.finished());
 }
 
+TEST(VirtualReplayerTest, MarkerVisibleOnceItsPrecedingEventsApplied) {
+  Simulator sim;
+  VirtualReplayer replayer(&sim, 1000.0);  // 1 ms apart
+  std::vector<Event> events = VertexStream(4);
+  events.insert(events.begin() + 2, Event::Marker("A"));  // sent at 1 ms
+  events.push_back(Event::Marker("B"));                   // sent at 3 ms
+  replayer.Start(events, [](const Event&, size_t) {});
+  sim.RunUntilIdle();
+  EXPECT_EQ(replayer.PendingMarkerSends(),
+            (std::vector<Timestamp>{Timestamp::FromMillis(1),
+                                    Timestamp::FromMillis(3)}));
+
+  // One event applied: A still waits for its second predecessor.
+  replayer.ObserveApplied(1);
+  EXPECT_TRUE(replayer.visible_markers().empty());
+
+  sim.RunUntil(Timestamp::FromMillis(10));
+  replayer.ObserveApplied(2);
+  ASSERT_EQ(replayer.visible_markers().size(), 1u);
+  EXPECT_EQ(replayer.visible_markers()[0].label, "A");
+  EXPECT_EQ(replayer.visible_markers()[0].sent, Timestamp::FromMillis(1));
+  EXPECT_EQ(replayer.visible_markers()[0].latency, Duration::FromMillis(9));
+  EXPECT_EQ(replayer.PendingMarkerSends(),
+            (std::vector<Timestamp>{Timestamp::FromMillis(3)}));
+
+  sim.RunUntil(Timestamp::FromMillis(20));
+  replayer.ObserveApplied(4);
+  ASSERT_EQ(replayer.visible_markers().size(), 2u);
+  EXPECT_EQ(replayer.visible_markers()[1].label, "B");
+  EXPECT_EQ(replayer.visible_markers()[1].latency, Duration::FromMillis(17));
+  EXPECT_TRUE(replayer.PendingMarkerSends().empty());
+}
+
 TEST(VirtualReplayerTest, OpenGateIsFree) {
   Simulator sim;
   VirtualReplayer replayer(&sim, 1000.0);

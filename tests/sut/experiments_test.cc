@@ -177,6 +177,31 @@ TEST(ChronographExperimentTest, RankErrorDeclinesAfterDrain) {
   EXPECT_LT(result->rank_error.back().median_relative_error, 0.3);
 }
 
+TEST(ChronographExperimentTest, NoRankErrorBeforeATrackedUserExists) {
+  // The most influential user of the final graph is a hub that joins only
+  // after 200 other vertices: at 100 ev/s it exists from t = 2 s. An
+  // evaluation point before then has no tracked user to score, and must
+  // not be recorded (as a perfect error of 0 or otherwise).
+  std::vector<Event> stream;
+  for (VertexId v = 1; v <= 200; ++v) stream.push_back(Event::AddVertex(v));
+  stream.push_back(Event::AddVertex(1000));
+  for (VertexId v = 1; v <= 200; ++v) {
+    stream.push_back(Event::AddEdge(v, 1000));
+  }
+  ChronographExperimentConfig config;
+  config.base_rate_eps = 100.0;
+  config.error_interval = Duration::FromSeconds(1.0);
+  config.track_top_k = 1;
+  config.max_duration = Duration::FromSeconds(60.0);
+  auto result = RunChronographExperiment(stream, config);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->tracked_users, std::vector<VertexId>{1000});
+  ASSERT_FALSE(result->rank_error.empty());
+  for (const RankErrorSample& s : result->rank_error) {
+    EXPECT_GE(s.time.seconds(), 2.0) << "error " << s.median_relative_error;
+  }
+}
+
 TEST(ChronographExperimentTest, QueueBacklogUnderDoubledRate) {
   ChronographExperimentConfig config;
   config.base_rate_eps = 2000.0;
