@@ -266,6 +266,11 @@ bool ChronoLite::Idle() const {
   for (const auto& worker : workers_) {
     if (!worker->Idle()) return false;
   }
+  for (const auto& row : channels_) {
+    for (const Channel& channel : row) {
+      if (!channel.in_flight.empty()) return false;
+    }
+  }
   for (const auto& row : outboxes_) {
     for (const Outbox& outbox : row) {
       if (!outbox.deltas.empty() || outbox.flush_scheduled) return false;

@@ -147,6 +147,28 @@ TEST(CrashRecoveryCaseTest, ReportsRecoveryOnSmallWorkload) {
   EXPECT_LT(report->final_rank_error, 0.05);
 }
 
+TEST(CrashRecoveryCaseTest, StreamEndingBeforeRestartStillRecovers) {
+  SuiteWorkload workload;
+  workload.name = "ends-early";
+  workload.events = SmallStream();
+  workload.graph_events = workload.events.size();
+  workload.rate_eps = 1000.0;  // 600 events -> the stream ends at 0.6 s
+
+  CrashRecoveryOptions options;
+  options.kill_after = Duration::FromSeconds(0.3);
+  options.downtime = Duration::FromSeconds(2.0);
+  options.max_duration = Duration::FromSeconds(60.0);
+
+  auto report = RunCrashRecoveryCase(workload, OnlineFactory(), options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  // The journal replay is still on its way to the fresh instance at the
+  // restart tick: the run is not drained there, and the catch-up is seen.
+  EXPECT_TRUE(report->recovered);
+  EXPECT_GT(report->recovery_catchup_s, 0.0);
+  EXPECT_TRUE(report->drained);
+  EXPECT_GT(report->drained_s, report->recover_at_s);
+}
+
 TEST(CrashRecoveryCaseTest, LossyRestartDivergesFromReference) {
   SuiteWorkload workload;
   workload.name = "tiny-lossy";

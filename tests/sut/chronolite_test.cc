@@ -54,6 +54,17 @@ TEST(ChronoLiteTest, IngestsAndCounts) {
   EXPECT_TRUE(engine.Idle());
 }
 
+TEST(ChronoLiteTest, NotIdleWhileAMessageIsOnALink) {
+  Simulator sim;
+  ChronoLite engine(&sim, ChronoLiteOptions{});
+  // The broker sends the update over a link; no worker holds it yet.
+  engine.Ingest(Event::AddVertex(1));
+  EXPECT_FALSE(engine.Idle());
+  sim.RunUntilIdle();
+  EXPECT_EQ(engine.updates_applied(), 1u);
+  EXPECT_TRUE(engine.Idle());
+}
+
 TEST(ChronoLiteTest, RanksConvergeToBatchPageRank) {
   Simulator sim;
   ChronoLiteOptions options;
