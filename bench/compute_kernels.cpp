@@ -6,18 +6,15 @@
 // Besides the timings the bench re-checks the layer's core contract on
 // every run: the results at every thread count must be bit-identical to
 // the single-threaded reference (ranks compared exactly, not by
-// tolerance) — a determinism failure exits non-zero regardless of flags.
+// tolerance) — a determinism failure exits 1 regardless of flags.
 //
-//   --quick                small workload, fewer repetitions (CI smoke)
-//   --json PATH            write the sweep as JSON (one result per line)
-//   --check-baseline PATH  compare against a previous --json file; exit 1
-//                          if any (kernel, threads) cell lost > 25%
-//                          edges/s. Baseline cells not measured in this
-//                          run (e.g. a different host_cores) are skipped.
+//   --quick         small workload, fewer repetitions (CI smoke)
+//   --records DIR   write one run record per (kernel, threads) cell, e.g.
+//                   workload compute_kernels/wcc/t1, metric throughput in
+//                   edges/s (records.h; bench/ab.py compares them)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +27,7 @@
 #include "graph/csr.h"
 #include "graph/graph.h"
 #include "harness/report.h"
+#include "records.h"
 
 using namespace graphtides;
 
@@ -45,6 +43,8 @@ struct KernelObservation {
 /// Fixed iteration count and zero tolerance pin the PageRank work per run,
 /// so the timings compare like for like across thread counts.
 constexpr size_t kPageRankIterations = 20;
+
+constexpr uint64_t kGraphSeed = 7;
 
 double MedianMillis(std::vector<double> times) {
   std::sort(times.begin(), times.end());
@@ -77,7 +77,7 @@ auto TimeKernel(const char* kernel, size_t threads, size_t edges, int reps,
 
 Graph MakeGraph(bool quick) {
   TopologyIndex topology;
-  Rng rng(7);
+  Rng rng(kGraphSeed);
   GeneratorContext ctx(&topology, &rng);
   std::vector<Event> events;
   GraphBuilder builder(&topology, &ctx, &events);
@@ -112,84 +112,6 @@ bool SameCsr(const CsrGraph& a, const CsrGraph& b) {
   return true;
 }
 
-/// One sweep entry per line so CheckBaseline re-reads the file with sscanf.
-void WriteJson(const std::string& path,
-               const std::vector<KernelObservation>& results,
-               size_t vertices, size_t edges, bool quick) {
-  std::ofstream out(path);
-  if (!out.good()) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  out << "{\n";
-  out << "  \"bench\": \"compute_kernels\",\n";
-  out << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n";
-  out << "  \"vertices\": " << vertices << ",\n";
-  out << "  \"edges\": " << edges << ",\n";
-  out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
-  out << "  \"results\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const KernelObservation& r = results[i];
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "    {\"kernel\": \"%s\", \"threads\": %zu, "
-                  "\"millis\": %.3f, \"edges_per_sec\": %.1f}%s\n",
-                  r.kernel.c_str(), r.threads, r.millis, r.edges_per_sec,
-                  i + 1 < results.size() ? "," : "");
-    out << line;
-  }
-  out << "  ]\n}\n";
-}
-
-/// Returns the number of (kernel, threads) cells that lost > 25% edges/s
-/// against the baseline file. Baseline cells not measured here are skipped
-/// (a host with different core count sweeps a different set).
-int CheckBaseline(const std::string& path,
-                  const std::vector<KernelObservation>& results) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
-    return 1;
-  }
-  int regressions = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    char kernel[32] = {0};
-    size_t threads = 0;
-    double baseline_millis = 0.0;
-    double baseline_eps = 0.0;
-    if (std::sscanf(line.c_str(),
-                    " {\"kernel\": \"%31[^\"]\", \"threads\": %zu, "
-                    "\"millis\": %lf, \"edges_per_sec\": %lf",
-                    kernel, &threads, &baseline_millis, &baseline_eps) != 4) {
-      continue;
-    }
-    const auto it =
-        std::find_if(results.begin(), results.end(),
-                     [&](const KernelObservation& r) {
-                       return r.kernel == kernel && r.threads == threads;
-                     });
-    if (it == results.end()) continue;
-    const std::string label =
-        std::string(kernel) + " threads=" + std::to_string(threads);
-    if (it->edges_per_sec < 0.75 * baseline_eps) {
-      const double delta_pct =
-          baseline_eps > 0.0
-              ? (it->edges_per_sec / baseline_eps - 1.0) * 100.0
-              : 0.0;
-      std::fprintf(stderr,
-                   "REGRESSION %s: %.0f edges/s < 75%% of baseline %.0f "
-                   "(%+.1f%%)\n",
-                   label.c_str(), it->edges_per_sec, baseline_eps, delta_pct);
-      ++regressions;
-    } else {
-      std::printf("baseline ok %s: %.0f edges/s vs baseline %.0f\n",
-                  label.c_str(), it->edges_per_sec, baseline_eps);
-    }
-  }
-  return regressions;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -200,8 +122,7 @@ int main(int argc, char** argv) {
   }
   const Flags& flags = *flags_or;
   const bool quick = flags.GetBool("quick");
-  const std::string json_path = flags.GetString("json", "");
-  const std::string baseline_path = flags.GetString("check-baseline", "");
+  const std::string records_dir = flags.GetString("records", "");
   const int reps = quick ? 3 : 5;
 
   const Graph graph = MakeGraph(quick);
@@ -285,13 +206,10 @@ int main(int argc, char** argv) {
               deterministic ? "bit-matched" : "DIVERGED FROM",
               sweep.front());
 
-  if (!json_path.empty()) {
-    WriteJson(json_path, results, graph.num_vertices(), edges, quick);
-    std::printf("sweep results -> %s\n", json_path.c_str());
+  for (const KernelObservation& r : results) {
+    const std::string cell = r.kernel + "/t" + std::to_string(r.threads);
+    bench::WriteThroughputRecord(records_dir, "compute_kernels/" + cell,
+                                 kGraphSeed, r.edges_per_sec);
   }
-  int failures = deterministic ? 0 : 1;
-  if (!baseline_path.empty()) {
-    failures += CheckBaseline(baseline_path, results);
-  }
-  return failures > 0 ? 1 : 0;
+  return deterministic ? 0 : 1;
 }

@@ -12,26 +12,25 @@
 // over a loopback socket to an in-process line server — both measure the
 // same code paths (serialization + transport write + pacing).
 //
-// Shard sweep & CI smoke: the second section measures unthrottled
-// ShardedReplayer throughput at 1/2/4/8 lanes and can persist the result
-// as a machine-readable baseline.
+// Shard sweep: the second section measures unthrottled ShardedReplayer
+// throughput at 1/2/4/8 lanes.
 //
 // File-replay sweep: the third section replays the same workload from disk
 // through ReplayFile, once from the CSV encoding and once from the
-// gt-stream-v2 binary encoding (mmap reader), at 1 and 4 shards — the v2
-// rows gate the format's ~2-4x parse-throughput claim via the baseline.
+// gt-stream-v2 binary encoding (mmap reader), at 1 and 4 shards, and prints
+// the v2/csv ratio. No check pins that ratio: it reads ~2-3x but varies
+// run to run. What guards the v2 path is the A/B of its file/v2 cells
+// against the base build (bench/ab.py).
 //
-//   --quick                ~2 s run: skip the rate sweep, small workload
-//   --json PATH            write shard-sweep results as JSON
-//   --check-baseline PATH  compare against a previous --json file; exit 1
-//                          if any shard count lost > 20% events/s
+//   --quick         ~2 s run: skip the rate sweep, small workload
+//   --records DIR   write one run record per shard-sweep and file-replay
+//                   cell, e.g. workload fig3a_replayer_throughput/file/v2/s1,
+//                   metric throughput in events/s (records.h)
 #include <cstdio>
 #include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "common/flags.h"
@@ -39,6 +38,7 @@
 #include "generator/models/social_network_model.h"
 #include "generator/stream_generator.h"
 #include "harness/report.h"
+#include "records.h"
 #include "replayer/sharded_replayer.h"
 #include "replayer/tcp.h"
 #include "stream/stream_file.h"
@@ -48,11 +48,13 @@ using namespace graphtides;
 
 namespace {
 
+constexpr uint64_t kWorkloadSeed = 3;
+
 std::vector<Event> MakeWorkload(size_t rounds) {
   SocialNetworkModel model;
   StreamGeneratorOptions options;
   options.rounds = rounds;
-  options.seed = 3;
+  options.seed = kWorkloadSeed;
   options.emit_phase_markers = false;
   auto stream = StreamGenerator(&model, options).Generate();
   if (!stream.ok()) {
@@ -236,106 +238,6 @@ FileReplayObservation MeasureFileReplay(const std::string& stream_path,
   return obs;
 }
 
-/// One shard-sweep entry per line so CheckBaseline can re-read the file
-/// with sscanf instead of a JSON library.
-void WriteJson(const std::string& path,
-               const std::vector<ShardObservation>& results,
-               const std::vector<FileReplayObservation>& file_results,
-               size_t workload_events, bool quick) {
-  std::ofstream out(path);
-  if (!out.good()) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  out << "{\n";
-  out << "  \"bench\": \"fig3a_replayer_throughput\",\n";
-  out << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n";
-  out << "  \"workload_events\": " << workload_events << ",\n";
-  out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
-  out << "  \"results\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ShardObservation& r = results[i];
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "    {\"shards\": %zu, \"events_per_sec\": %.1f, "
-                  "\"lag_p50_us\": %.2f, \"lag_p99_us\": %.2f}%s\n",
-                  r.shards, r.events_per_sec, r.lag_p50_us, r.lag_p99_us,
-                  i + 1 < results.size() ? "," : "");
-    out << line;
-  }
-  out << "  ],\n";
-  out << "  \"file_results\": [\n";
-  for (size_t i = 0; i < file_results.size(); ++i) {
-    const FileReplayObservation& r = file_results[i];
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "    {\"shards\": %zu, \"format\": \"%s\", "
-                  "\"events_per_sec\": %.1f}%s\n",
-                  r.shards, r.format.c_str(), r.events_per_sec,
-                  i + 1 < file_results.size() ? "," : "");
-    out << line;
-  }
-  out << "  ]\n}\n";
-}
-
-/// Returns the number of shard counts that regressed by more than 20%.
-int CheckBaseline(const std::string& path,
-                  const std::vector<ShardObservation>& results,
-                  const std::vector<FileReplayObservation>& file_results) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
-    return 1;
-  }
-  int regressions = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    size_t shards = 0;
-    double baseline_eps = 0.0;
-    char format[8] = {0};
-    double current = -1.0;
-    std::string label;
-    if (std::sscanf(line.c_str(),
-                    " {\"shards\": %zu, \"format\": \"%7[^\"]\", "
-                    "\"events_per_sec\": %lf",
-                    &shards, format, &baseline_eps) == 3) {
-      const auto it = std::find_if(file_results.begin(), file_results.end(),
-                                   [&](const FileReplayObservation& r) {
-                                     return r.shards == shards &&
-                                            r.format == format;
-                                   });
-      if (it == file_results.end()) continue;
-      current = it->events_per_sec;
-      label = "shards=" + std::to_string(shards) + " format=" + format;
-    } else if (std::sscanf(line.c_str(),
-                           " {\"shards\": %zu, \"events_per_sec\": %lf",
-                           &shards, &baseline_eps) == 2) {
-      const auto it = std::find_if(
-          results.begin(), results.end(),
-          [shards](const ShardObservation& r) { return r.shards == shards; });
-      if (it == results.end()) continue;
-      current = it->events_per_sec;
-      label = "shards=" + std::to_string(shards);
-    } else {
-      continue;
-    }
-    const double floor = 0.8 * baseline_eps;
-    if (current < floor) {
-      const double delta_pct =
-          baseline_eps > 0.0 ? (current / baseline_eps - 1.0) * 100.0 : 0.0;
-      std::fprintf(stderr,
-                   "REGRESSION %s: %.0f ev/s < 80%% of baseline %.0f ev/s "
-                   "(%+.1f%%)\n",
-                   label.c_str(), current, baseline_eps, delta_pct);
-      ++regressions;
-    } else {
-      std::printf("baseline ok %s: %.0f ev/s vs baseline %.0f ev/s\n",
-                  label.c_str(), current, baseline_eps);
-    }
-  }
-  return regressions;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -346,8 +248,7 @@ int main(int argc, char** argv) {
   }
   const Flags& flags = *flags_or;
   const bool quick = flags.GetBool("quick");
-  const std::string json_path = flags.GetString("json", "");
-  const std::string baseline_path = flags.GetString("check-baseline", "");
+  const std::string records_dir = flags.GetString("records", "");
 
   std::printf("%s", SectionHeader(
       "Fig. 3a — Graph Stream Replayer throughput (pipe vs TCP)").c_str());
@@ -455,16 +356,21 @@ int main(int argc, char** argv) {
   std::printf("%s", file_table.ToString().c_str());
   std::printf(
       "v2 replaces the CSV parse with an mmap pointer cast on input and the\n"
-      "CSV escape/format with sealed binary blocks on the wire; the\n"
-      "checked-in baseline pins the achieved speedup.\n");
+      "CSV escape/format with sealed binary blocks on the wire. The\n"
+      "speedup is reported, not checked: it varies from run to run.\n");
   std::filesystem::remove_all(bench_dir);
 
-  if (!json_path.empty()) {
-    WriteJson(json_path, sweep, file_sweep, full.size(), quick);
-    std::printf("shard-sweep results -> %s\n", json_path.c_str());
+  const std::string prefix = "fig3a_replayer_throughput/";
+  for (const ShardObservation& r : sweep) {
+    const std::string cell = "shards/s" + std::to_string(r.shards);
+    bench::WriteThroughputRecord(records_dir, prefix + cell, kWorkloadSeed,
+                                 r.events_per_sec);
   }
-  if (!baseline_path.empty()) {
-    if (CheckBaseline(baseline_path, sweep, file_sweep) > 0) return 1;
+  for (const FileReplayObservation& r : file_sweep) {
+    const std::string cell =
+        "file/" + r.format + "/s" + std::to_string(r.shards);
+    bench::WriteThroughputRecord(records_dir, prefix + cell, kWorkloadSeed,
+                                 r.events_per_sec);
   }
   return 0;
 }

@@ -17,15 +17,13 @@
 // turning an in-memory stream into bytes), where the legacy allocation-per-
 // field path is slowest.
 //
-//   --quick                ~2 s run: small workload, fewer repetitions
-//   --json PATH            write results as JSON (one entry per line)
-//   --check-baseline PATH  compare against a previous --json file; exit 1
-//                          if any configuration lost > 20% events/s
+//   --quick         ~2 s run: small workload, fewer repetitions
+//   --records DIR   write one run record per configuration, e.g. workload
+//                   gen_throughput/pipeline, metric throughput in events/s
+//                   (records.h; bench/ab.py compares them)
 #include <cstdio>
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -37,16 +35,19 @@
 #include "generator/stream_generator.h"
 #include "generator/stream_pipeline.h"
 #include "harness/report.h"
+#include "records.h"
 #include "stream/event.h"
 
 using namespace graphtides;
 
 namespace {
 
+constexpr uint64_t kSeed = 3;
+
 StreamGeneratorOptions BenchOptions(size_t rounds) {
   StreamGeneratorOptions options;
   options.rounds = rounds;
-  options.seed = 3;
+  options.seed = kSeed;
   options.marker_interval = 1000;
   return options;
 }
@@ -203,74 +204,6 @@ Observation Measure(const std::string& config, int repetitions, Fn&& fn) {
   return {config, PercentileSorted(rates, 0.5)};
 }
 
-/// One result entry per line so CheckBaseline can re-read the file with
-/// sscanf instead of a JSON library (same convention as fig3a).
-void WriteJson(const std::string& path,
-               const std::vector<Observation>& results, size_t rounds,
-               bool quick) {
-  std::ofstream out(path);
-  if (!out.good()) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  out << "{\n";
-  out << "  \"bench\": \"gen_throughput\",\n";
-  out << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n";
-  out << "  \"rounds\": " << rounds << ",\n";
-  out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
-  out << "  \"results\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "    {\"config\": \"%s\", \"events_per_sec\": %.1f}%s\n",
-                  results[i].config.c_str(), results[i].events_per_sec,
-                  i + 1 < results.size() ? "," : "");
-    out << line;
-  }
-  out << "  ]\n}\n";
-}
-
-/// Returns the number of configurations that regressed by more than 20%.
-int CheckBaseline(const std::string& path,
-                  const std::vector<Observation>& results) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
-    return 1;
-  }
-  int regressions = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    char config[64];
-    double baseline_eps = 0.0;
-    if (std::sscanf(line.c_str(),
-                    " {\"config\": \"%63[^\"]\", \"events_per_sec\": %lf",
-                    config, &baseline_eps) != 2) {
-      continue;
-    }
-    const auto it = std::find_if(
-        results.begin(), results.end(),
-        [&config](const Observation& r) { return r.config == config; });
-    if (it == results.end()) continue;
-    const double floor = 0.8 * baseline_eps;
-    if (it->events_per_sec < floor) {
-      const double delta_pct =
-          baseline_eps > 0.0
-              ? (it->events_per_sec / baseline_eps - 1.0) * 100.0
-              : 0.0;
-      std::fprintf(stderr,
-                   "REGRESSION %s: %.0f ev/s < 80%% of baseline %.0f ev/s "
-                   "(%+.1f%%)\n",
-                   config, it->events_per_sec, baseline_eps, delta_pct);
-      ++regressions;
-    } else {
-      std::printf("baseline ok %s: %.0f ev/s vs baseline %.0f ev/s\n",
-                  config, it->events_per_sec, baseline_eps);
-    }
-  }
-  return regressions;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -281,8 +214,7 @@ int main(int argc, char** argv) {
   }
   const Flags& flags = *flags_or;
   const bool quick = flags.GetBool("quick");
-  const std::string json_path = flags.GetString("json", "");
-  const std::string baseline_path = flags.GetString("check-baseline", "");
+  const std::string records_dir = flags.GetString("records", "");
 
   const size_t rounds = quick ? 150000 : 1000000;
   const int reps = quick ? 3 : 5;
@@ -348,12 +280,9 @@ int main(int argc, char** argv) {
   }
   std::printf("host cores: %u\n", std::thread::hardware_concurrency());
 
-  if (!json_path.empty()) {
-    WriteJson(json_path, results, rounds, quick);
-    std::printf("results -> %s\n", json_path.c_str());
-  }
-  if (!baseline_path.empty()) {
-    if (CheckBaseline(baseline_path, results) > 0) return 1;
+  for (const Observation& r : results) {
+    bench::WriteThroughputRecord(records_dir, "gen_throughput/" + r.config,
+                                 kSeed, r.events_per_sec);
   }
   return 0;
 }
