@@ -6,29 +6,23 @@
 namespace graphtides {
 
 OnlinePageRankCore::OnlinePageRankCore(OnlinePageRankOptions options,
-                                       IsLocalFn is_local)
-    : options_(options), is_local_(std::move(is_local)) {}
-
-uint32_t OnlinePageRankCore::Find(VertexId v) const {
-  auto it = slot_of_.find(v);
-  return it == slot_of_.end() ? kNoSlot : it->second;
-}
+                                       size_t parts, size_t part)
+    : options_(options), parts_(parts), part_(part) {}
 
 uint32_t OnlinePageRankCore::FindOrAdd(VertexId v) {
-  auto [it, inserted] = slot_of_.try_emplace(v, kNoSlot);
-  if (!inserted) return it->second;
-  uint32_t s;
+  // The slot is picked first and taken only if `v` is new.
+  const size_t next =
+      free_slots_.empty() ? slots_.size() : free_slots_.back();
+  const auto [s, inserted] = slot_of_.Insert(v, next, IdAt());
+  if (!inserted) return s;
   if (free_slots_.empty()) {
-    s = static_cast<uint32_t>(slots_.size());
     slots_.emplace_back();
   } else {
-    s = free_slots_.back();
     free_slots_.pop_back();
   }
   Slot& slot = slots_[s];
   slot.id = v;
   slot.used = true;
-  it->second = s;
   return s;
 }
 
@@ -47,7 +41,7 @@ void OnlinePageRankCore::AddLocalResidual(VertexId v, double delta) {
 
 void OnlinePageRankCore::AdjustBuffered(VertexId target, double delta) {
   if (delta == 0.0) return;
-  if (is_local_(target)) {
+  if (IsLocal(target)) {
     AddLocalResidual(target, delta);
   } else {
     pending_remote_.emplace_back(target, delta);
@@ -66,12 +60,12 @@ void OnlinePageRankCore::RemoveVertex(
   const uint32_t s = Find(v);
   if (s == kNoSlot) return;
   // Drops b_v, x_v, r_v; a queued entry is skipped later.
+  slot_of_.Erase(v, s);
   Slot& slot = slots_[s];
   const double x = slot.score;
   const std::vector<VertexId> out = std::move(slot.out);
   slot = Slot{};
   free_slots_.push_back(s);
-  slot_of_.erase(v);
   estimate_mass_ -= x;
 
   // Column v of W disappears: out-neighbors lose d * x / deg.
@@ -166,7 +160,7 @@ std::vector<VertexId> OnlinePageRankCore::OutNeighborsOf(VertexId v) const {
 // ---------------------------------------------------------------------------
 
 OnlinePageRank::OnlinePageRank(OnlinePageRankOptions options)
-    : core_(options, [](VertexId) { return true; }) {}
+    : core_(options, 1, 0) {}
 
 void OnlinePageRank::OnEventApplied(const Event& event) {
   switch (event.type) {

@@ -57,8 +57,7 @@ thread_local BiasWeightCache g_bias_cache;
 }  // namespace
 
 Status TopologyIndex::AddVertex(VertexId id) {
-  auto [it, inserted] = vertex_pos_.try_emplace(id, vertices_.size());
-  if (!inserted) {
+  if (!vertex_pos_.Insert(id, vertices_.size(), VertexAt()).second) {
     return Status::PreconditionFailed("vertex already exists: " +
                                       std::to_string(id));
   }
@@ -68,8 +67,8 @@ Status TopologyIndex::AddVertex(VertexId id) {
 }
 
 Status TopologyIndex::RemoveVertex(VertexId id) {
-  auto pos_it = vertex_pos_.find(id);
-  if (pos_it == vertex_pos_.end()) {
+  const uint32_t pos = vertex_pos_.Find(id, VertexAt());
+  if (pos == kNoPos) {
     return Status::PreconditionFailed("vertex does not exist: " +
                                       std::to_string(id));
   }
@@ -77,7 +76,6 @@ Status TopologyIndex::RemoveVertex(VertexId id) {
   // swap-removes the drained entry, so each iteration shrinks the list
   // without copying it first. Edge removal never moves vertex slots, so
   // `pos` stays valid throughout.
-  const size_t pos = pos_it->second;
   while (!adj_[pos].out.empty()) {
     Status st = RemoveEdge(id, adj_[pos].out.back());
     (void)st;
@@ -88,15 +86,15 @@ Status TopologyIndex::RemoveVertex(VertexId id) {
   }
   // Swap-remove from the dense vertex vector (adj_ moves in lockstep).
   const size_t last_pos = vertices_.size() - 1;
+  vertex_pos_.Erase(id, pos);
   if (pos != last_pos) {
     const VertexId last = vertices_[last_pos];
+    vertex_pos_.Move(last, last_pos, pos);
     vertices_[pos] = last;
     adj_[pos] = std::move(adj_[last_pos]);
-    vertex_pos_[last] = pos;
   }
   vertices_.pop_back();
   adj_.pop_back();
-  vertex_pos_.erase(pos_it);
   return Status::OK();
 }
 
@@ -104,52 +102,57 @@ Status TopologyIndex::AddEdge(VertexId src, VertexId dst) {
   if (src == dst) {
     return Status::PreconditionFailed("self-loops are not allowed");
   }
-  auto src_it = vertex_pos_.find(src);
-  auto dst_it = vertex_pos_.find(dst);
-  if (src_it == vertex_pos_.end() || dst_it == vertex_pos_.end()) {
+  const uint32_t src_pos = vertex_pos_.Find(src, VertexAt());
+  const uint32_t dst_pos = vertex_pos_.Find(dst, VertexAt());
+  if (src_pos == kNoPos || dst_pos == kNoPos) {
     return Status::PreconditionFailed("edge endpoint does not exist");
   }
   const EdgeId edge{src, dst};
-  auto [it, inserted] = edge_pos_.try_emplace(edge, edges_.size());
-  if (!inserted) {
+  if (!edge_pos_.Insert(edge, edges_.size(), EdgeAt()).second) {
     return Status::PreconditionFailed("edge already exists");
   }
   edges_.push_back(edge);
-  adj_[src_it->second].out.Add(dst);
-  adj_[dst_it->second].in.Add(src);
+  adj_[src_pos].out.Add(dst);
+  adj_[dst_pos].in.Add(src);
   return Status::OK();
 }
 
 Status TopologyIndex::RemoveEdge(VertexId src, VertexId dst) {
   const EdgeId edge{src, dst};
-  auto pos_it = edge_pos_.find(edge);
-  if (pos_it == edge_pos_.end()) {
+  const uint32_t pos = edge_pos_.Find(edge, EdgeAt());
+  if (pos == kNoPos) {
     return Status::PreconditionFailed("edge does not exist");
   }
-  const size_t pos = pos_it->second;
-  const EdgeId last = edges_.back();
-  edges_[pos] = last;
-  edge_pos_[last] = pos;
+  const size_t last_pos = edges_.size() - 1;
+  edge_pos_.Erase(edge, pos);
+  if (pos != last_pos) {
+    const EdgeId last = edges_[last_pos];
+    edge_pos_.Move(last, last_pos, pos);
+    edges_[pos] = last;
+  }
   edges_.pop_back();
-  edge_pos_.erase(edge);
-  adj_[vertex_pos_.find(src)->second].out.Remove(dst);
-  adj_[vertex_pos_.find(dst)->second].in.Remove(src);
+  adj_[vertex_pos_.Find(src, VertexAt())].out.Remove(dst);
+  adj_[vertex_pos_.Find(dst, VertexAt())].in.Remove(src);
   return Status::OK();
 }
 
+bool TopologyIndex::HasVertex(VertexId id) const {
+  return vertex_pos_.Find(id, VertexAt()) != kNoPos;
+}
+
 bool TopologyIndex::HasEdge(VertexId src, VertexId dst) const {
-  return edge_pos_.contains(EdgeId{src, dst});
+  return edge_pos_.Find(EdgeId{src, dst}, EdgeAt()) != kNoPos;
 }
 
 size_t TopologyIndex::DegreeOf(VertexId id) const {
-  auto it = vertex_pos_.find(id);
-  if (it == vertex_pos_.end()) return 0;
-  return adj_[it->second].out.size() + adj_[it->second].in.size();
+  const uint32_t pos = vertex_pos_.Find(id, VertexAt());
+  if (pos == kNoPos) return 0;
+  return adj_[pos].out.size() + adj_[pos].in.size();
 }
 
 size_t TopologyIndex::OutDegreeOf(VertexId id) const {
-  auto it = vertex_pos_.find(id);
-  return it == vertex_pos_.end() ? 0 : adj_[it->second].out.size();
+  const uint32_t pos = vertex_pos_.Find(id, VertexAt());
+  return pos == kNoPos ? 0 : adj_[pos].out.size();
 }
 
 std::optional<VertexId> TopologyIndex::UniformVertex(Rng& rng) const {

@@ -6,13 +6,14 @@
 #ifndef GRAPHTIDES_GENERATOR_TOPOLOGY_INDEX_H_
 #define GRAPHTIDES_GENERATOR_TOPOLOGY_INDEX_H_
 
+#include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/random.h"
 #include "common/status.h"
 #include "graph/flat_adjacency.h"
+#include "graph/position_index.h"
 #include "stream/event.h"
 
 namespace graphtides {
@@ -20,8 +21,9 @@ namespace graphtides {
 /// \brief Mutable topology with sampling support (no states, generator-side).
 ///
 /// Storage is fully swap-remove based: dense vertex/edge vectors for O(1)
-/// uniform sampling, and per-vertex FlatAdjList neighbor lists (shared with
-/// Graph, see graph/flat_adjacency.h) instead of hash sets.
+/// uniform sampling, each with a PositionIndex from id to position (see
+/// graph/position_index.h), and per-vertex FlatAdjList neighbor lists
+/// (shared with Graph, see graph/flat_adjacency.h) instead of hash sets.
 class TopologyIndex {
  public:
   // --- Mutation (preconditions identical to Graph) ----------------------
@@ -37,7 +39,7 @@ class TopologyIndex {
 
   size_t num_vertices() const { return vertices_.size(); }
   size_t num_edges() const { return edges_.size(); }
-  bool HasVertex(VertexId id) const { return vertex_pos_.contains(id); }
+  bool HasVertex(VertexId id) const;
   bool HasEdge(VertexId src, VertexId dst) const;
   /// Undirected degree (out + in); 0 for unknown vertices.
   size_t DegreeOf(VertexId id) const;
@@ -73,26 +75,28 @@ class TopologyIndex {
   const std::vector<VertexId>& vertex_ids() const { return vertices_; }
 
  private:
-  struct EdgeIdHash {
-    size_t operator()(const EdgeId& e) const {
-      uint64_t h = e.src * 0x9e3779b97f4a7c15ULL;
-      h ^= e.dst + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      return static_cast<size_t>(h);
-    }
-  };
-
   struct VertexAdj {
     FlatAdjList<VertexId> out;
     FlatAdjList<VertexId> in;
   };
 
+  static constexpr uint32_t kNoPos = PositionIndex<VertexId>::kNotFound;
+
+  // Key accessors of the two position indexes.
+  auto VertexAt() const {
+    return [this](uint32_t pos) { return vertices_[pos]; };
+  }
+  auto EdgeAt() const {
+    return [this](uint32_t pos) { return edges_[pos]; };
+  }
+
   // Swap-remove vectors give O(1) uniform sampling under churn. adj_ is
   // parallel to vertices_ (same slot per vertex).
   std::vector<VertexId> vertices_;
-  std::unordered_map<VertexId, size_t> vertex_pos_;
+  PositionIndex<VertexId> vertex_pos_;
   std::vector<VertexAdj> adj_;
   std::vector<EdgeId> edges_;
-  std::unordered_map<EdgeId, size_t, EdgeIdHash> edge_pos_;
+  PositionIndex<EdgeId> edge_pos_;
 };
 
 }  // namespace graphtides

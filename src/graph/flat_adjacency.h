@@ -1,15 +1,16 @@
 // Flat adjacency list shared by the graph stores: Graph (neighbors are
 // vertex slots) and the generator's TopologyIndex (neighbors are vertex
 // ids). This is the layout streaming graph stores use (GraphTango): a plain
-// per-vertex array, plus a hash index only on high-degree vertices.
+// per-vertex array, plus a PositionIndex only on high-degree vertices.
 #ifndef GRAPHTIDES_GRAPH_FLAT_ADJACENCY_H_
 #define GRAPHTIDES_GRAPH_FLAT_ADJACENCY_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
+
+#include "graph/position_index.h"
 
 namespace graphtides {
 
@@ -21,7 +22,7 @@ inline constexpr size_t kAdjIndexThreshold = 32;
 ///
 /// Short lists — the overwhelming majority under power-law degree
 /// distributions — are scanned linearly, back to front. A list that grows
-/// past kAdjIndexThreshold builds a neighbor→position hash index and keeps
+/// past kAdjIndexThreshold builds a neighbor→position index and keeps
 /// it for the rest of its life, so lookup and removal stay O(1) on hubs.
 /// The index sits behind a pointer: a non-hub list costs one vector and one
 /// null pointer. Entry order depends only on the sequence of Add/Remove
@@ -56,8 +57,8 @@ class FlatAdjList {
   /// Position of `v`, or kNotFound.
   size_t Find(T v) const {
     if (index_) {
-      auto it = index_->find(v);
-      return it == index_->end() ? kNotFound : it->second;
+      const uint32_t pos = index_->Find(v, ItemAt());
+      return pos == Index::kNotFound ? kNotFound : pos;
     }
     // Backward scan: cascades drain lists from the back, so the hit is
     // usually the first probe.
@@ -71,26 +72,25 @@ class FlatAdjList {
   void Add(T v) {
     items_.push_back(v);
     if (index_) {
-      index_->emplace(v, static_cast<uint32_t>(items_.size() - 1));
+      index_->Insert(v, items_.size() - 1, ItemAt());
     } else if (items_.size() > kAdjIndexThreshold) {
       index_ = std::make_unique<Index>();
-      index_->reserve(items_.size() * 2);
+      index_->Reserve(items_.size());
       for (size_t i = 0; i < items_.size(); ++i) {
-        index_->emplace(items_[i], static_cast<uint32_t>(i));
+        index_->Insert(items_[i], i, ItemAt());
       }
     }
   }
 
   /// Removes the entry at `pos` by moving the last entry into its place.
   void RemoveAt(size_t pos) {
-    const T removed = items_[pos];
-    const T last = items_.back();
-    items_[pos] = last;
-    items_.pop_back();
+    const size_t last_pos = items_.size() - 1;
     if (index_) {
-      (*index_)[last] = static_cast<uint32_t>(pos);
-      index_->erase(removed);
+      index_->Erase(items_[pos], pos);
+      if (pos != last_pos) index_->Move(items_[last_pos], last_pos, pos);
     }
+    items_[pos] = items_[last_pos];
+    items_.pop_back();
   }
 
   /// Removes `v` if it is in the list.
@@ -100,7 +100,11 @@ class FlatAdjList {
   }
 
  private:
-  using Index = std::unordered_map<T, uint32_t>;
+  using Index = PositionIndex<T>;
+
+  auto ItemAt() const {
+    return [this](uint32_t pos) { return items_[pos]; };
+  }
 
   std::vector<T> items_;
   std::unique_ptr<Index> index_;  // set iff the list ever outgrew the threshold

@@ -11,17 +11,17 @@ std::string EdgeName(VertexId src, VertexId dst) {
 }  // namespace
 
 const Graph::VertexRecord* Graph::Find(VertexId id) const {
-  auto it = slot_of_.find(id);
-  return it == slot_of_.end() ? nullptr : &slots_[it->second];
+  const Slot slot = SlotOf(id);
+  return slot == kNoSlot ? nullptr : &slots_[slot];
 }
 
 size_t Graph::FindEdge(VertexId src, VertexId dst, Slot* src_slot) const {
-  auto src_it = slot_of_.find(src);
-  if (src_it == slot_of_.end()) return kNoEdge;
-  auto dst_it = slot_of_.find(dst);
-  if (dst_it == slot_of_.end()) return kNoEdge;
-  *src_slot = src_it->second;
-  return slots_[src_it->second].out.Find(dst_it->second);
+  const Slot from = SlotOf(src);
+  if (from == kNoSlot) return kNoEdge;
+  const Slot to = SlotOf(dst);
+  if (to == kNoSlot) return kNoEdge;
+  *src_slot = from;
+  return slots_[from].out.Find(to);
 }
 
 void Graph::RemoveOutAt(VertexRecord& record, size_t pos) {
@@ -31,19 +31,19 @@ void Graph::RemoveOutAt(VertexRecord& record, size_t pos) {
 }
 
 Status Graph::AddVertex(VertexId id, std::string state) {
-  auto [it, inserted] = slot_of_.try_emplace(id, 0);
-  if (!inserted) {
+  // The slot is picked first and taken only if the id is new.
+  const size_t slot =
+      free_slots_.empty() ? slots_.size() : free_slots_.back();
+  if (!slot_of_.Insert(id, slot, IdAt()).second) {
     return Status::PreconditionFailed("vertex already exists: " +
                                       std::to_string(id));
   }
   if (free_slots_.empty()) {
-    it->second = static_cast<Slot>(slots_.size());
     slots_.emplace_back();
   } else {
-    it->second = free_slots_.back();
     free_slots_.pop_back();
   }
-  VertexRecord& record = slots_[it->second];
+  VertexRecord& record = slots_[slot];
   record.id = id;
   record.state = std::move(state);
   record.live = true;
@@ -51,14 +51,14 @@ Status Graph::AddVertex(VertexId id, std::string state) {
 }
 
 Status Graph::RemoveVertex(VertexId id) {
-  auto it = slot_of_.find(id);
-  if (it == slot_of_.end()) {
+  const Slot slot = SlotOf(id);
+  if (slot == kNoSlot) {
     return Status::PreconditionFailed("vertex does not exist: " +
                                       std::to_string(id));
   }
   // Cascade-remove incident edges from the neighbors' lists; this
   // vertex's own lists go with its record.
-  const Slot slot = it->second;
+  slot_of_.Erase(id, slot);
   VertexRecord& record = slots_[slot];
   for (Slot dst : record.out) slots_[dst].in.Remove(slot);
   for (Slot src : record.in) {
@@ -68,17 +68,16 @@ Status Graph::RemoveVertex(VertexId id) {
   num_edges_ -= record.out.size() + record.in.size();
   record = VertexRecord();
   free_slots_.push_back(slot);
-  slot_of_.erase(it);
   return Status::OK();
 }
 
 Status Graph::UpdateVertexState(VertexId id, std::string state) {
-  auto it = slot_of_.find(id);
-  if (it == slot_of_.end()) {
+  const Slot slot = SlotOf(id);
+  if (slot == kNoSlot) {
     return Status::PreconditionFailed("vertex does not exist: " +
                                       std::to_string(id));
   }
-  slots_[it->second].state = std::move(state);
+  slots_[slot].state = std::move(state);
   return Status::OK();
 }
 
@@ -87,24 +86,24 @@ Status Graph::AddEdge(VertexId src, VertexId dst, std::string state) {
     return Status::PreconditionFailed("self-loops are not allowed: " +
                                       EdgeName(src, dst));
   }
-  auto src_it = slot_of_.find(src);
-  if (src_it == slot_of_.end()) {
+  const Slot src_slot = SlotOf(src);
+  if (src_slot == kNoSlot) {
     return Status::PreconditionFailed("edge source does not exist: " +
                                       std::to_string(src));
   }
-  auto dst_it = slot_of_.find(dst);
-  if (dst_it == slot_of_.end()) {
+  const Slot dst_slot = SlotOf(dst);
+  if (dst_slot == kNoSlot) {
     return Status::PreconditionFailed("edge destination does not exist: " +
                                       std::to_string(dst));
   }
-  VertexRecord& from = slots_[src_it->second];
-  if (from.out.Find(dst_it->second) != kNoEdge) {
+  VertexRecord& from = slots_[src_slot];
+  if (from.out.Find(dst_slot) != kNoEdge) {
     return Status::PreconditionFailed("edge already exists: " +
                                       EdgeName(src, dst));
   }
-  from.out.Add(dst_it->second);
+  from.out.Add(dst_slot);
   from.out_state.push_back(std::move(state));
-  slots_[dst_it->second].in.Add(src_it->second);
+  slots_[dst_slot].in.Add(src_slot);
   ++num_edges_;
   return Status::OK();
 }
@@ -164,7 +163,7 @@ Status Graph::ApplyAll(const std::vector<Event>& events) {
     if (e.type == EventType::kAddVertex) ++added_vertices;
   }
   if (added_vertices > 0) {
-    slot_of_.reserve(slot_of_.size() + added_vertices);
+    slot_of_.Reserve(slot_of_.size() + added_vertices);
     if (added_vertices > free_slots_.size()) {
       slots_.reserve(slots_.size() + added_vertices - free_slots_.size());
     }
@@ -179,7 +178,7 @@ Status Graph::ApplyAll(const std::vector<Event>& events) {
 }
 
 void Graph::Clear() {
-  slot_of_.clear();
+  slot_of_.Clear();
   slots_.clear();
   free_slots_.clear();
   num_edges_ = 0;

@@ -12,11 +12,11 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
 #include "graph/flat_adjacency.h"
+#include "graph/position_index.h"
 #include "stream/event.h"
 
 namespace graphtides {
@@ -27,10 +27,11 @@ namespace graphtides {
 /// PreconditionFailed without modifying the graph when violated; a stream
 /// that passes StreamValidator applies cleanly.
 ///
-/// Storage is slot-indexed: a hash map takes each vertex id to a stable
-/// slot, and each slot holds the vertex state plus flat adjacency lists of
-/// neighbor slots (FlatAdjList). Removed slots are reused, most recently
-/// freed first. Iteration (VertexIds, ForEach*) runs in slot order, which
+/// Storage is slot-indexed: a PositionIndex (graph/position_index.h) takes
+/// each vertex id to a stable slot, reading the id back from the slot, and
+/// each slot holds the vertex state plus flat adjacency lists of neighbor
+/// slots (FlatAdjList). Removed slots are reused, most recently freed
+/// first. Iteration (VertexIds, ForEach*) runs in slot order, which
 /// depends only on the sequence of applied operations — deterministic, but
 /// neither sorted nor insertion order once vertices are removed.
 class Graph {
@@ -61,7 +62,7 @@ class Graph {
   size_t num_vertices() const { return slot_of_.size(); }
   size_t num_edges() const { return num_edges_; }
 
-  bool HasVertex(VertexId id) const { return slot_of_.contains(id); }
+  bool HasVertex(VertexId id) const { return Find(id) != nullptr; }
   bool HasEdge(VertexId src, VertexId dst) const;
 
   Result<std::string> GetVertexState(VertexId id) const;
@@ -113,6 +114,14 @@ class Graph {
   };
 
   static constexpr size_t kNoEdge = FlatAdjList<Slot>::kNotFound;
+  static constexpr Slot kNoSlot = PositionIndex<VertexId>::kNotFound;
+
+  /// Key accessor of slot_of_.
+  auto IdAt() const {
+    return [this](Slot slot) { return slots_[slot].id; };
+  }
+  /// Slot of a live vertex, or kNoSlot.
+  Slot SlotOf(VertexId id) const { return slot_of_.Find(id, IdAt()); }
 
   /// Record of a live vertex, or nullptr.
   const VertexRecord* Find(VertexId id) const;
@@ -126,7 +135,7 @@ class Graph {
   // every neighbor slot to its dense index through a plain array.
   friend class CsrGraph;
 
-  std::unordered_map<VertexId, Slot> slot_of_;
+  PositionIndex<VertexId> slot_of_;
   std::vector<VertexRecord> slots_;
   std::vector<Slot> free_slots_;
   size_t num_edges_ = 0;

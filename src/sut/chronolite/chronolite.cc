@@ -26,9 +26,8 @@ class ChronoWorker {
         queue_(options.worker_queue_capacity),
         queue_length_point_("queue_length." + std::to_string(index)),
         processed_point_("message_processed." + std::to_string(index)),
-        rank_(options.rank, [this, engine](VertexId v) {
-          return engine->OwnerOf(v) == index_;
-        }) {}
+        // The partition ChronoLite::OwnerOf routes by.
+        rank_(options.rank, options.num_workers, index) {}
 
   /// Enqueues a message (from the broker or a peer worker) and wakes the
   /// worker if idle.

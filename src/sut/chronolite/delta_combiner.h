@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph/position_index.h"
 #include "stream/event.h"
 
 namespace graphtides {
@@ -21,7 +22,8 @@ namespace graphtides {
 /// power-of-two size, at most half full) maps targets to positions. Index
 /// cells carry the epoch they were written in and Clear() just starts a
 /// new epoch, so clearing is O(1) and keeps both allocations. Nothing here
-/// depends on the standard library's hash.
+/// depends on the standard library's hash. The index is not a PositionIndex
+/// because of that epoch clear (see Clear()).
 class DeltaCombiner {
  public:
   using Entry = std::pair<VertexId, double>;
@@ -30,7 +32,7 @@ class DeltaCombiner {
   void Add(VertexId target, double delta) {
     if (2 * (entries_.size() + 1) > cells_.size()) Grow();
     const size_t mask = cells_.size() - 1;
-    for (size_t i = Hash(target) & mask;; i = (i + 1) & mask) {
+    for (size_t i = FibonacciHash(target) & mask;; i = (i + 1) & mask) {
       Cell& cell = cells_[i];
       if (cell.epoch != epoch_) {
         cell = Cell{static_cast<uint32_t>(entries_.size()), epoch_};
@@ -52,7 +54,8 @@ class DeltaCombiner {
   /// Index cells allocated; never shrinks.
   size_t capacity() const { return cells_.size(); }
 
-  /// Forgets every entry; allocations are kept for the next round.
+  /// Forgets every entry; allocations are kept for the next round. Runs once
+  /// per push quantum, so it must stay O(1), not O(capacity).
   void Clear() {
     entries_.clear();
     if (++epoch_ == 0) {  // wrapped: stale cells could look current
@@ -67,20 +70,13 @@ class DeltaCombiner {
     uint32_t epoch = 0;  // current iff equal to epoch_
   };
 
-  /// Fibonacci hashing: the high bits of a multiplicative hash, folded
-  /// down so that the low bits the mask keeps are well mixed.
-  static size_t Hash(VertexId v) {
-    const uint64_t h = static_cast<uint64_t>(v) * 0x9E3779B97F4A7C15ull;
-    return static_cast<size_t>(h ^ (h >> 32));
-  }
-
   /// Doubles the index (16 cells at first) and re-inserts every entry.
   void Grow() {
     cells_.assign(cells_.empty() ? 16 : 2 * cells_.size(), Cell{});
     epoch_ = 1;
     const size_t mask = cells_.size() - 1;
     for (size_t p = 0; p < entries_.size(); ++p) {
-      size_t i = Hash(entries_[p].first) & mask;
+      size_t i = FibonacciHash(entries_[p].first) & mask;
       while (cells_[i].epoch == epoch_) i = (i + 1) & mask;
       cells_[i] = Cell{static_cast<uint32_t>(p), epoch_};
     }

@@ -176,7 +176,7 @@ TEST(OnlinePageRankCoreTest, RemoteEmissionForNonLocalVertices) {
   // A core owning only even vertices must emit residual deltas for odd
   // targets of its out-edges.
   OnlinePageRankOptions options;
-  OnlinePageRankCore core(options, [](VertexId v) { return v % 2 == 0; });
+  OnlinePageRankCore core(options, 2, 0);
   core.AddVertex(0);
   core.AddVertex(2);
   core.AddEdge(0, 1);
@@ -199,7 +199,7 @@ TEST(OnlinePageRankCoreTest, TopologyCorrectionsFlushedToRemotes) {
   // Edge churn at a local vertex with an already-distributed score must
   // emit signed corrections toward remote neighbors.
   OnlinePageRankOptions options;
-  OnlinePageRankCore core(options, [](VertexId v) { return v == 0; });
+  OnlinePageRankCore core(options, 2, 0);  // owns 0; 1 and 3 are remote
   core.AddVertex(0);
   core.AddEdge(0, 1);
   // Distribute the score.
@@ -227,7 +227,7 @@ TEST(OnlinePageRankCoreTest, ResidualForAbsentVertexIsDropped) {
   // stale edge gives a removed local vertex "ghost" state again; deltas
   // for it, and for never-added ids, are dropped until it is re-added.
   OnlinePageRankOptions options;
-  OnlinePageRankCore core(options, [](VertexId) { return true; });
+  OnlinePageRankCore core(options, 1, 0);
   core.AddVertex(0);
   core.AddVertex(1);
   core.AddEdge(0, 1);
