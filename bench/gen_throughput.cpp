@@ -9,9 +9,10 @@
 //                local copy of the seed formatter) and one fwrite per line
 //   inmem        Generate() into a vector, then the shared std::to_chars
 //                serializer into a reused block buffer, one fwrite per block
-//   pipeline     GenerateTo(PipelinedWriterConsumer): generation overlapped
-//                with serialization + I/O on a writer thread, batch-arena
-//                handoff, one fwrite per batch, constant memory
+//   pipeline     GenerateTo(PipelinedWriterConsumer): the engine thread
+//                generates while the calling thread serializes and
+//                writes, batch-arena handoff, one fwrite per ~256 KB,
+//                constant memory
 //
 // A serialize-only section isolates the formatter change (the events/s of
 // turning an in-memory stream into bytes), where the legacy allocation-per-
@@ -145,7 +146,8 @@ Run RunInmemToChars(size_t rounds, FILE* out) {
           stream->events.size()};
 }
 
-/// The pipelined writer: streaming generation, no materialized vector.
+/// The pipeline: streaming generation on the engine thread, serialization
+/// and writes on this one, no materialized vector.
 Run RunPipeline(size_t rounds, FILE* out) {
   SocialNetworkModel model;
   StreamGenerator generator(&model, BenchOptions(rounds));

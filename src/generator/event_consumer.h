@@ -1,9 +1,9 @@
 // EventConsumer: the incremental emission interface of the stream
-// generator. StreamGenerator::GenerateTo pushes each event to a consumer
-// the moment it is produced, so generation is constant-memory with respect
-// to the stream length — the out-of-core counterpart of the legacy
-// Generate() that materializes a GeneratedStream vector (kept via
-// CollectingConsumer for existing callers).
+// generator. StreamGenerator::GenerateTo hands each event to a consumer
+// shortly after the engine thread produces it, so generation is
+// constant-memory with respect to the stream length — the out-of-core
+// counterpart of the legacy Generate() that materializes a GeneratedStream
+// vector (through CollectingConsumer).
 #ifndef GRAPHTIDES_GENERATOR_EVENT_CONSUMER_H_
 #define GRAPHTIDES_GENERATOR_EVENT_CONSUMER_H_
 
@@ -16,8 +16,9 @@
 
 namespace graphtides {
 
-/// \brief Destination for generated events, called in stream order from the
-/// generator thread. A non-OK Status aborts generation with that status.
+/// \brief Destination for generated events, called in stream order on the
+/// thread that called GenerateTo (never on the engine thread). A non-OK
+/// Status aborts generation with that status.
 class EventConsumer {
  public:
   virtual ~EventConsumer() = default;

@@ -1,5 +1,7 @@
 #include "generator/models/blockchain_model.h"
 
+#include <iterator>
+
 #include "generator/graph_builder.h"
 
 namespace graphtides {
@@ -19,10 +21,9 @@ Status BlockchainModel::BootstrapGraph(GraphBuilder& builder,
 }
 
 EventType BlockchainModel::NextEventType(GeneratorContext& ctx) {
-  const std::vector<double> weights = {options_.p_new_wallet,
-                                       options_.p_transaction,
-                                       options_.p_balance_snapshot};
-  switch (ctx.rng().NextWeighted(weights)) {
+  const double weights[] = {options_.p_new_wallet, options_.p_transaction,
+                            options_.p_balance_snapshot};
+  switch (ctx.rng().NextWeighted(weights, std::size(weights))) {
     case 0:
       return EventType::kAddVertex;
     case 1: {

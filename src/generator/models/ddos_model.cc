@@ -1,5 +1,7 @@
 #include "generator/models/ddos_model.h"
 
+#include <iterator>
+
 #include "generator/graph_builder.h"
 
 namespace graphtides {
@@ -42,10 +44,10 @@ EventType DdosModel::NextEventType(GeneratorContext& ctx) {
     if (x < 0.45) return EventType::kAddEdge;     // bot -> victim flow
     return EventType::kUpdateEdge;                // flood packets
   }
-  const std::vector<double> weights = {
-      options_.p_new_client, options_.p_client_leaves, options_.p_new_flow,
-      options_.p_flow_update, options_.p_flow_closes};
-  switch (ctx.rng().NextWeighted(weights)) {
+  const double weights[] = {options_.p_new_client, options_.p_client_leaves,
+                            options_.p_new_flow, options_.p_flow_update,
+                            options_.p_flow_closes};
+  switch (ctx.rng().NextWeighted(weights, std::size(weights))) {
     case 0:
       return EventType::kAddVertex;
     case 1:

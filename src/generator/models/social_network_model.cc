@@ -1,5 +1,7 @@
 #include "generator/models/social_network_model.h"
 
+#include <iterator>
+
 namespace graphtides {
 
 Status SocialNetworkModel::BootstrapGraph(GraphBuilder& builder,
@@ -12,10 +14,10 @@ Status SocialNetworkModel::BootstrapGraph(GraphBuilder& builder,
 }
 
 EventType SocialNetworkModel::NextEventType(GeneratorContext& ctx) {
-  const std::vector<double> weights = {
-      options_.p_new_user, options_.p_follow, options_.p_profile_update,
-      options_.p_unfollow, options_.p_user_leaves};
-  switch (ctx.rng().NextWeighted(weights)) {
+  const double weights[] = {options_.p_new_user, options_.p_follow,
+                            options_.p_profile_update, options_.p_unfollow,
+                            options_.p_user_leaves};
+  switch (ctx.rng().NextWeighted(weights, std::size(weights))) {
     case 0:
       return EventType::kAddVertex;
     case 1:

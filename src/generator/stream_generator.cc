@@ -1,10 +1,98 @@
 #include "generator/stream_generator.h"
 
 #include <algorithm>
+#include <atomic>
 #include <charconv>
 #include <cstring>
+#include <exception>
+#include <optional>
+#include <thread>
+
+#include "replayer/event_batch.h"
+#include "replayer/spsc_queue.h"
 
 namespace graphtides {
+
+namespace {
+
+/// Events per batch handed from the engine thread to the caller.
+constexpr size_t kBatchEvents = 1024;
+/// Depth of the engine -> caller queue (and of the recycle queue); bounds
+/// the events in flight to about kQueueBatches * kBatchEvents.
+constexpr size_t kQueueBatches = 8;
+
+/// \brief The engine thread's sink in GenerateTo: packs events into batch
+/// arenas and hands full batches to the calling thread. Drained batches
+/// come back through the recycle queue, so the steady state allocates
+/// nothing.
+class BatchHandoff final : public EventConsumer {
+ public:
+  BatchHandoff() : full_(kQueueBatches), recycle_(kQueueBatches) {
+    current_.Reserve(kBatchEvents);
+  }
+
+  /// Engine thread. Fails once the caller has stopped.
+  Status Consume(Event&& event) override {
+    current_.Append(event.type, event.vertex, event.edge, event.payload,
+                    event.rate_factor, event.pause);
+    if (!current_.Full(kBatchEvents)) return Status::OK();
+    if (!Push()) return Status::Cancelled("stream consumer stopped");
+    if (std::optional<EventBatch> recycled = recycle_.TryPop()) {
+      current_ = std::move(*recycled);
+    } else {
+      current_ = EventBatch();
+      current_.Reserve(kBatchEvents);
+    }
+    return Status::OK();
+  }
+
+  /// Engine thread: hands over the partial batch; no batch follows.
+  void Close() {
+    if (!current_.records.empty()) (void)Push();
+    closed_.store(true, std::memory_order_release);
+  }
+
+  /// Caller thread: the next batch in stream order, waiting for the engine;
+  /// nullopt once the engine has closed and every batch is drained.
+  std::optional<EventBatch> Next() {
+    for (;;) {
+      if (std::optional<EventBatch> batch = full_.TryPop()) return batch;
+      // The engine pushes its last batch before closing, so one more pop
+      // after seeing the flag finds anything still queued.
+      if (closed_.load(std::memory_order_acquire)) return full_.TryPop();
+      std::this_thread::yield();
+    }
+  }
+
+  /// Caller thread: returns a drained batch for reuse (freed if the
+  /// recycle queue is full).
+  void Recycle(EventBatch batch) {
+    batch.Clear();
+    (void)recycle_.TryPush(std::move(batch));
+  }
+
+  /// Caller thread: the engine stops at its next hand-off.
+  void Stop() { stopped_.store(true, std::memory_order_release); }
+
+ private:
+  /// Engine thread: hands current_ over, waiting while the queue is full;
+  /// false once the caller has stopped.
+  bool Push() {
+    while (!stopped_.load(std::memory_order_acquire)) {
+      if (full_.TryPush(std::move(current_))) return true;
+      std::this_thread::yield();
+    }
+    return false;
+  }
+
+  EventBatch current_;
+  SpscQueue<EventBatch> full_;
+  SpscQueue<EventBatch> recycle_;
+  std::atomic<bool> closed_{false};
+  std::atomic<bool> stopped_{false};
+};
+
+}  // namespace
 
 bool StreamGenerator::BuildEvent(EventType type, GeneratorContext& ctx,
                                  TopologyIndex& topology, Event* out,
@@ -73,22 +161,73 @@ bool StreamGenerator::BuildEvent(EventType type, GeneratorContext& ctx,
 }
 
 Result<GenerateSummary> StreamGenerator::GenerateTo(EventConsumer& consumer) {
+  BatchHandoff handoff;
+  Result<GenerateSummary> engine_result = Status::Internal("engine not run");
+  std::exception_ptr engine_exception;
+  std::thread engine([&] {
+    try {
+      engine_result = RunEngine(handoff);
+    } catch (...) {
+      engine_exception = std::current_exception();
+    }
+    // Events emitted before an engine error or exception are still
+    // delivered.
+    handoff.Close();
+  });
+  // Stops and joins the engine on every way out, a throwing consumer
+  // included.
+  struct JoinEngine {
+    BatchHandoff& handoff;
+    std::thread& engine;
+    ~JoinEngine() {
+      handoff.Stop();
+      engine.join();
+    }
+  };
+  Status consumed;
+  {
+    JoinEngine join{handoff, engine};
+    Event event;
+    while (consumed.ok()) {
+      std::optional<EventBatch> batch = handoff.Next();
+      if (!batch.has_value()) break;
+      for (const EventRecord& r : batch->records) {
+        event.type = r.type;
+        event.vertex = r.vertex;
+        event.edge = r.edge;
+        event.payload.assign(batch->PayloadOf(r));
+        event.rate_factor = r.rate_factor;
+        event.pause = r.pause;
+        consumed = consumer.Consume(std::move(event));
+        if (!consumed.ok()) break;
+      }
+      handoff.Recycle(std::move(*batch));
+    }
+  }
+  if (engine_exception) std::rethrow_exception(engine_exception);
+  GT_RETURN_NOT_OK(consumed);
+  GT_RETURN_NOT_OK(engine_result.status());
+  GT_RETURN_NOT_OK(consumer.Finish());
+  return engine_result;
+}
+
+Result<GenerateSummary> StreamGenerator::RunEngine(EventConsumer& sink) {
   GenerateSummary summary;
   TopologyIndex topology;
   Rng rng(options_.seed);
   GeneratorContext ctx(&topology, &rng);
 
   // Phase (i): bootstrap.
-  GraphBuilder builder(&topology, &ctx, &consumer);
+  GraphBuilder builder(&topology, &ctx, &sink);
   GT_RETURN_NOT_OK(model_->BootstrapGraph(builder, ctx));
   summary.bootstrap_events = builder.events_emitted();
   summary.total_events = summary.bootstrap_events;
   if (options_.emit_phase_markers) {
-    GT_RETURN_NOT_OK(consumer.Consume(Event::Marker("BOOTSTRAP_DONE")));
+    GT_RETURN_NOT_OK(sink.Consume(Event::Marker("BOOTSTRAP_DONE")));
     ++summary.total_events;
   }
   if (options_.bootstrap_pause > Duration::Zero()) {
-    GT_RETURN_NOT_OK(consumer.Consume(Event::Pause(options_.bootstrap_pause)));
+    GT_RETURN_NOT_OK(sink.Consume(Event::Pause(options_.bootstrap_pause)));
     ++summary.total_events;
   }
 
@@ -141,7 +280,7 @@ Result<GenerateSummary> StreamGenerator::GenerateTo(EventConsumer& consumer) {
         return applied.WithContext("generator engine inconsistency at round " +
                                    std::to_string(round));
       }
-      GT_RETURN_NOT_OK(consumer.Consume(std::move(event)));
+      GT_RETURN_NOT_OK(sink.Consume(std::move(event)));
       ++summary.evolution_events;
       ++summary.total_events;
       emitted = true;
@@ -163,25 +302,24 @@ Result<GenerateSummary> StreamGenerator::GenerateTo(EventConsumer& consumer) {
           std::to_chars(marker_label + kMarkPrefixLen,
                         marker_label + sizeof(marker_label), ++marker_counter);
       (void)ec;
-      GT_RETURN_NOT_OK(consumer.Consume(Event::Marker(
+      GT_RETURN_NOT_OK(sink.Consume(Event::Marker(
           std::string(marker_label, static_cast<size_t>(end - marker_label)))));
       ++summary.total_events;
     }
   }
   if (options_.emit_phase_markers) {
-    GT_RETURN_NOT_OK(consumer.Consume(Event::Marker("STREAM_END")));
+    GT_RETURN_NOT_OK(sink.Consume(Event::Marker("STREAM_END")));
     ++summary.total_events;
   }
   summary.final_vertices = topology.num_vertices();
   summary.final_edges = topology.num_edges();
-  GT_RETURN_NOT_OK(consumer.Finish());
   return summary;
 }
 
 Result<GeneratedStream> StreamGenerator::Generate() {
   GeneratedStream result;
   CollectingConsumer consumer(&result.events);
-  GT_ASSIGN_OR_RETURN(GenerateSummary summary, GenerateTo(consumer));
+  GT_ASSIGN_OR_RETURN(GenerateSummary summary, RunEngine(consumer));
   result.bootstrap_events = summary.bootstrap_events;
   result.evolution_events = summary.evolution_events;
   result.skipped_rounds = summary.skipped_rounds;

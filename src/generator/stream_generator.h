@@ -3,11 +3,14 @@
 // sequence of a graph stream, including phase markers and periodic markers.
 //
 // Two emission modes share one engine:
-//   * GenerateTo(consumer) — streaming: each event is pushed to an
-//     EventConsumer as it is produced, so memory use is bounded by the
-//     topology shadow, never by the stream length (out-of-core generation);
-//   * Generate() — legacy: collects the whole stream into a
-//     GeneratedStream vector via CollectingConsumer.
+//   * GenerateTo(consumer) — streaming: the engine runs on its own thread
+//     and hands events in batches to the calling thread, which feeds them
+//     to an EventConsumer in stream order (§5.1's decoupled, multi-threaded
+//     design). Memory use is bounded by the topology shadow plus a fixed
+//     number of batches, never by the stream length (out-of-core
+//     generation), and the consumer's work overlaps generation;
+//   * Generate() — legacy: runs the engine on the calling thread and
+//     collects the whole stream into a GeneratedStream vector.
 // Both produce byte-identical streams for the same model/seed/options.
 #ifndef GRAPHTIDES_GENERATOR_STREAM_GENERATOR_H_
 #define GRAPHTIDES_GENERATOR_STREAM_GENERATOR_H_
@@ -73,15 +76,25 @@ class StreamGenerator {
   StreamGenerator(GeneratorModel* model, StreamGeneratorOptions options)
       : model_(model), options_(options) {}
 
-  /// Streaming emission: pushes every event to `consumer` in stream order
-  /// and calls consumer.Finish() after the last one. Constant-memory in the
+  /// Streaming emission: runs the engine on a thread of its own, pushes
+  /// every event to `consumer` in stream order on the calling thread, and
+  /// calls consumer.Finish() after the last one. Constant-memory in the
   /// stream length.
+  ///
+  /// A consumer error stops the engine at its next batch hand-off and is
+  /// returned without calling Finish(). An engine error is returned after
+  /// every event emitted before it has been consumed, also without
+  /// Finish(). An exception thrown by a model hook is rethrown here.
   Result<GenerateSummary> GenerateTo(EventConsumer& consumer);
 
   /// Legacy in-memory emission: materializes the whole stream.
   Result<GeneratedStream> Generate();
 
  private:
+  /// The engine loop, bootstrap plus rounds, on the calling thread: pushes
+  /// every event to `sink` in stream order. Does not call sink.Finish().
+  Result<GenerateSummary> RunEngine(EventConsumer& sink);
+
   /// Builds one evolution event into *out. Returns false with *error OK
   /// when the model produced no applicable candidate this attempt (the
   /// caller retries — the common case, kept free of Status message

@@ -1,108 +1,44 @@
 #include "generator/stream_pipeline.h"
 
-#include <utility>
-
 namespace graphtides {
 
-PipelinedWriterConsumer::PipelinedWriterConsumer(FILE* out,
-                                                PipelinedWriterOptions options)
-    : out_(out),
-      options_(options),
-      full_queue_(options.queue_batches),
-      recycle_queue_(options.queue_batches) {
-  if (options_.batch_events == 0) options_.batch_events = 1;
-  current_.Reserve(options_.batch_events);
-  writer_ = std::thread([this] { WriterLoop(); });
+namespace {
+
+/// Buffered bytes that trigger one fwrite.
+constexpr size_t kWriteBytes = size_t{256} << 10;
+
+}  // namespace
+
+PipelinedWriterConsumer::PipelinedWriterConsumer(FILE* out) : out_(out) {
+  // One line past the threshold at most; long payloads just grow it.
+  buffer_.reserve(kWriteBytes + 512);
 }
 
-PipelinedWriterConsumer::~PipelinedWriterConsumer() {
-  // Abandoned without Finish(): shut the writer down; the status is lost.
-  Status st = Finish();
-  (void)st;
-}
-
-void PipelinedWriterConsumer::WriterLoop() {
-  // One reused serialization buffer; one fwrite per batch.
-  std::string block;
-  block.reserve(options_.batch_events *
-                EventBatch::kArenaReserveBytesPerEvent * 2);
-  for (;;) {
-    std::optional<EventBatch> batch = full_queue_.TryPop();
-    if (!batch.has_value()) {
-      if (producer_done_.load(std::memory_order_acquire)) {
-        // The producer stops pushing before setting the flag, so one last
-        // empty pop after seeing it means the queue is fully drained.
-        batch = full_queue_.TryPop();
-        if (!batch.has_value()) break;
-      } else {
-        std::this_thread::yield();
-        continue;
-      }
-    }
-    if (!writer_failed_.load(std::memory_order_acquire)) {
-      block.clear();
-      for (const EventRecord& r : batch->records) {
-        event_internal::AppendEventFields(r.type, r.vertex, r.edge,
-                                          batch->PayloadOf(r), r.rate_factor,
-                                          r.pause, &block);
-        block.push_back('\n');
-      }
-      if (!block.empty() &&
-          std::fwrite(block.data(), 1, block.size(), out_) != block.size()) {
-        writer_status_ = Status::IoError("stream write failed");
-        writer_failed_.store(true, std::memory_order_release);
-      } else {
-        bytes_written_.fetch_add(block.size(), std::memory_order_relaxed);
-        events_written_.fetch_add(batch->records.size(),
-                                  std::memory_order_relaxed);
-      }
-    }
-    batch->Clear();
-    // Recycle; if the return queue is full the batch is simply freed.
-    bool recycled = recycle_queue_.TryPush(std::move(*batch));
-    (void)recycled;
+Status PipelinedWriterConsumer::WriteBuffer() {
+  if (!status_.ok() || buffer_.empty()) return status_;
+  if (std::fwrite(buffer_.data(), 1, buffer_.size(), out_) != buffer_.size()) {
+    status_ = Status::IoError("stream write failed");
+    return status_;
   }
-}
-
-Status PipelinedWriterConsumer::FlushCurrentBatch() {
-  if (current_.records.empty()) return Status::OK();
-  EventBatch batch = std::move(current_);
-  while (!full_queue_.TryPush(std::move(batch))) {
-    if (writer_failed_.load(std::memory_order_acquire)) return writer_status_;
-    std::this_thread::yield();
-  }
-  std::optional<EventBatch> recycled = recycle_queue_.TryPop();
-  if (recycled.has_value()) {
-    current_ = std::move(*recycled);
-  } else {
-    current_ = EventBatch();
-    current_.Reserve(options_.batch_events);
-  }
-  return Status::OK();
+  bytes_written_ += buffer_.size();
+  events_written_ += buffered_events_;
+  buffer_.clear();
+  buffered_events_ = 0;
+  return status_;
 }
 
 Status PipelinedWriterConsumer::Consume(Event&& event) {
-  if (writer_failed_.load(std::memory_order_acquire)) return writer_status_;
-  current_.Append(event.type, event.vertex, event.edge, event.payload,
-                  event.rate_factor, event.pause);
-  if (current_.Full(options_.batch_events)) return FlushCurrentBatch();
+  GT_RETURN_NOT_OK(status_);
+  AppendEventLine(event, &buffer_);
+  ++buffered_events_;
+  if (buffer_.size() >= kWriteBytes) return WriteBuffer();
   return Status::OK();
 }
 
 Status PipelinedWriterConsumer::Finish() {
-  if (finished_) return finish_status_;
-  finished_ = true;
-  Status flush = FlushCurrentBatch();
-  producer_done_.store(true, std::memory_order_release);
-  if (writer_.joinable()) writer_.join();
-  if (writer_failed_.load(std::memory_order_acquire)) {
-    finish_status_ = writer_status_;
-  } else if (!flush.ok()) {
-    finish_status_ = flush;
-  } else if (std::fflush(out_) != 0) {
-    finish_status_ = Status::IoError("stream flush failed");
-  }
-  return finish_status_;
+  GT_RETURN_NOT_OK(WriteBuffer());
+  if (std::fflush(out_) != 0) status_ = Status::IoError("stream flush failed");
+  return status_;
 }
 
 }  // namespace graphtides

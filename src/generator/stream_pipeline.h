@@ -1,88 +1,57 @@
-// Pipelined stream writer: the generator half of the tentpole perf path.
+// Buffered CSV stream writer: the CSV end of the generator pipeline.
 //
-// The generator thread produces Events; this consumer packs them into
-// EventBatch arenas and hands full batches over an SPSC queue to a
-// dedicated writer thread, which serializes each batch with the shared
-// std::to_chars-based formatter into one reused buffer and issues a single
-// write per batch. Drained batches travel back through a recycle queue, so
-// the steady state runs without heap allocation and generation overlaps
-// serialization + I/O (§5.1's decoupled multi-threaded design, applied to
-// generation instead of replay).
+// StreamGenerator::GenerateTo runs the engine on its own thread and feeds
+// this consumer on the calling thread, so serialization and I/O already
+// overlap generation (§5.1's decoupled multi-threaded design). The writer
+// itself is plain: each event is rendered with the shared
+// std::to_chars-based formatter into one reused buffer, and the buffer goes
+// out in one fwrite per ~256 KB.
 #ifndef GRAPHTIDES_GENERATOR_STREAM_PIPELINE_H_
 #define GRAPHTIDES_GENERATOR_STREAM_PIPELINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <thread>
 
 #include "common/status.h"
 #include "generator/event_consumer.h"
-#include "replayer/event_batch.h"
-#include "replayer/spsc_queue.h"
 
 namespace graphtides {
 
-struct PipelinedWriterOptions {
-  /// Events per batch handed to the writer thread (also the unit of one
-  /// write call).
-  size_t batch_events = 4096;
-  /// Bounded depth of the engine -> writer queue; bounds memory to roughly
-  /// queue_batches * batch arena size regardless of stream length.
-  size_t queue_batches = 8;
-};
-
 /// \brief EventConsumer that streams serialized CSV lines to a FILE*.
 ///
-/// Single-producer: Consume/Finish must be called from one thread. The
-/// FILE* is borrowed, not owned; Finish() flushes it. If the writer thread
-/// hits an I/O error, the error surfaces from the next Consume (or from
-/// Finish), which aborts generation early.
+/// The FILE* is borrowed, not owned; Finish() writes the buffered tail and
+/// flushes it. The first write error is returned from that Consume (or
+/// from Finish) and from every call after it, which aborts generation
+/// early. Lines still buffered when the writer is destroyed without
+/// Finish() are dropped.
 class PipelinedWriterConsumer final : public EventConsumer {
  public:
-  explicit PipelinedWriterConsumer(FILE* out,
-                                   PipelinedWriterOptions options = {});
-  ~PipelinedWriterConsumer() override;
+  explicit PipelinedWriterConsumer(FILE* out);
 
   PipelinedWriterConsumer(const PipelinedWriterConsumer&) = delete;
   PipelinedWriterConsumer& operator=(const PipelinedWriterConsumer&) = delete;
 
   Status Consume(Event&& event) override;
 
-  /// Flushes the partial batch, joins the writer thread, flushes the FILE*,
-  /// and returns the writer's status. Idempotent.
+  /// Writes the buffered lines and flushes the FILE*.
   Status Finish() override;
 
   /// Bytes handed to fwrite so far (exact after Finish()).
-  uint64_t bytes_written() const {
-    return bytes_written_.load(std::memory_order_relaxed);
-  }
-  uint64_t events_written() const {
-    return events_written_.load(std::memory_order_relaxed);
-  }
+  uint64_t bytes_written() const { return bytes_written_; }
+  /// Events whose lines were handed to fwrite (exact after Finish()).
+  uint64_t events_written() const { return events_written_; }
 
  private:
-  void WriterLoop();
-  /// Hands the current batch to the writer (spins while the queue is full)
-  /// and acquires an empty one. Fails fast if the writer already failed.
-  Status FlushCurrentBatch();
+  /// Hands the buffer to fwrite and empties it.
+  Status WriteBuffer();
 
   FILE* out_;
-  PipelinedWriterOptions options_;
-
-  EventBatch current_;
-  SpscQueue<EventBatch> full_queue_;
-  SpscQueue<EventBatch> recycle_queue_;
-
-  std::thread writer_;
-  std::atomic<bool> producer_done_{false};
-  std::atomic<bool> writer_failed_{false};
-  Status writer_status_;  // written by writer before writer_failed_ release
-  std::atomic<uint64_t> bytes_written_{0};
-  std::atomic<uint64_t> events_written_{0};
-  bool finished_ = false;
-  Status finish_status_;
+  std::string buffer_;
+  uint64_t buffered_events_ = 0;
+  Status status_;
+  uint64_t bytes_written_ = 0;
+  uint64_t events_written_ = 0;
 };
 
 }  // namespace graphtides

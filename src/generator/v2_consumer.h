@@ -1,10 +1,10 @@
 // V2WriterConsumer: the gt-stream-v2 mirror of PipelinedWriterConsumer —
 // plugs the binary block writer (stream/v2_writer.h) into the generator's
 // EventConsumer pipeline, so `gt_generate --format v2` streams sealed
-// blocks with the same bounded-memory contract as the CSV path. The
-// writer already batches records per block and issues one fwrite per
-// sealed block, so no extra pipelining thread is needed to keep the
-// generator unblocked.
+// blocks with the same bounded-memory contract as the CSV path. Like every
+// consumer it runs on the thread that called GenerateTo, overlapping the
+// generator's engine thread; the writer batches records per block and
+// issues one fwrite per sealed block.
 #ifndef GRAPHTIDES_GENERATOR_V2_CONSUMER_H_
 #define GRAPHTIDES_GENERATOR_V2_CONSUMER_H_
 

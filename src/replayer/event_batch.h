@@ -1,7 +1,7 @@
 // The batch-arena unit shared by the stream producers and consumers that
 // hand events between threads: the sharded replayer's reader -> lane queues
-// and the generator's engine -> writer pipeline (§5.1 multi-threaded
-// design). A batch is a vector of fixed-size records whose variable-size
+// and the generator's engine thread -> GenerateTo caller (§5.1
+// multi-threaded design). A batch is a vector of fixed-size records whose variable-size
 // payload bytes live in one contiguous arena string; recycling batches
 // through a return queue keeps the steady state allocation-free.
 #ifndef GRAPHTIDES_REPLAYER_EVENT_BATCH_H_

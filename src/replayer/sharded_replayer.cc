@@ -31,8 +31,8 @@ uint64_t MixBits(uint64_t x) {
 }
 
 // Lane batches are the shared batch-arena unit (replayer/event_batch.h),
-// so the generator's pipelined writer and the sharded reader recycle the
-// same structure.
+// so the generator's engine -> caller hand-off and the sharded reader
+// recycle the same structure.
 using LaneRecord = EventRecord;
 using LaneBatch = EventBatch;
 

@@ -117,7 +117,7 @@ std::string FormatEventLine(const Event& event);
 ///
 /// Formats numeric fields with std::to_chars directly into *out, so a warm
 /// reused buffer makes repeated serialization allocation-free — the hot path
-/// shared by the replayer transports and the generator's pipelined writer.
+/// shared by the replayer transports and the generator's CSV writer.
 void AppendEventLine(const Event& event, std::string* out);
 
 namespace event_internal {

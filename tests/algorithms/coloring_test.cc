@@ -81,7 +81,9 @@ TEST_P(RandomColoringTest, ProperAndBoundedByMaxDegreePlusOne) {
   for (int i = 0; i < 250; ++i) {
     const VertexId a = rng.NextBounded(n);
     const VertexId b = rng.NextBounded(n);
-    if (a != b && !g.HasEdge(a, b)) ASSERT_TRUE(g.AddEdge(a, b).ok());
+    if (a != b && !g.HasEdge(a, b)) {
+      ASSERT_TRUE(g.AddEdge(a, b).ok());
+    }
   }
   const CsrGraph csr = CsrGraph::FromGraph(g);
   const ColoringResult r = GreedyColoring(csr);

@@ -57,7 +57,9 @@ TEST(WccTest, SizesSumToVertexCount) {
   for (int i = 0; i < 50; ++i) {
     const VertexId a = rng.NextBounded(n);
     const VertexId b = rng.NextBounded(n);
-    if (a != b && !g.HasEdge(a, b)) ASSERT_TRUE(g.AddEdge(a, b).ok());
+    if (a != b && !g.HasEdge(a, b)) {
+      ASSERT_TRUE(g.AddEdge(a, b).ok());
+    }
   }
   const ComponentsResult r = WeaklyConnectedComponents(CsrGraph::FromGraph(g));
   size_t total = 0;
@@ -73,7 +75,9 @@ TEST(WccTest, AgreesWithUndirectedBfs) {
   for (int i = 0; i < 40; ++i) {
     const VertexId a = rng.NextBounded(n);
     const VertexId b = rng.NextBounded(n);
-    if (a != b && !g.HasEdge(a, b)) ASSERT_TRUE(g.AddEdge(a, b).ok());
+    if (a != b && !g.HasEdge(a, b)) {
+      ASSERT_TRUE(g.AddEdge(a, b).ok());
+    }
   }
   const CsrGraph csr = CsrGraph::FromGraph(g);
   const ComponentsResult r = WeaklyConnectedComponents(csr);

@@ -90,7 +90,9 @@ TEST(TopologicalSortTest, RespectsAllEdges) {
     VertexId b = rng.NextBounded(n);
     if (a == b) continue;
     if (a > b) std::swap(a, b);
-    if (!g.HasEdge(a, b)) ASSERT_TRUE(g.AddEdge(a, b).ok());
+    if (!g.HasEdge(a, b)) {
+      ASSERT_TRUE(g.AddEdge(a, b).ok());
+    }
   }
   const CsrGraph csr = CsrGraph::FromGraph(g);
   const auto order = TopologicalSort(csr);
@@ -114,7 +116,9 @@ TEST(FindCycleTest, AgreesWithHasCycleOnRandomGraphs) {
     for (int i = 0; i < edges; ++i) {
       const VertexId a = rng.NextBounded(n);
       const VertexId b = rng.NextBounded(n);
-      if (a != b && !g.HasEdge(a, b)) ASSERT_TRUE(g.AddEdge(a, b).ok());
+      if (a != b && !g.HasEdge(a, b)) {
+        ASSERT_TRUE(g.AddEdge(a, b).ok());
+      }
     }
     const CsrGraph csr = CsrGraph::FromGraph(g);
     EXPECT_EQ(HasCycle(csr), FindCycle(csr).has_value()) << "seed " << seed;

@@ -117,7 +117,9 @@ TEST(VertexStructuralFeaturesTest, HubStandsOut) {
   // Hub out-degree 20 vs leaves 0.
   EXPECT_GT(features[hub][0], 2.9);
   for (size_t v = 0; v < features.size(); ++v) {
-    if (v != hub) EXPECT_DOUBLE_EQ(features[v][0], 0.0);
+    if (v != hub) {
+      EXPECT_DOUBLE_EQ(features[v][0], 0.0);
+    }
   }
 }
 

@@ -56,7 +56,9 @@ TEST(PageRankTest, RanksSumToOne) {
   for (int i = 0; i < 400; ++i) {
     const VertexId a = rng.NextBounded(n);
     const VertexId b = rng.NextBounded(n);
-    if (a != b && !g.HasEdge(a, b)) ASSERT_TRUE(g.AddEdge(a, b).ok());
+    if (a != b && !g.HasEdge(a, b)) {
+      ASSERT_TRUE(g.AddEdge(a, b).ok());
+    }
   }
   const PageRankResult r = PageRank(CsrGraph::FromGraph(g));
   EXPECT_NEAR(Sum(r.ranks), 1.0, 1e-6);
@@ -75,7 +77,9 @@ TEST(PageRankTest, StarHubOutranksLeaves) {
   CsrGraph::Index hub;
   ASSERT_TRUE(csr.IndexOf(0, &hub));
   for (CsrGraph::Index v = 0; v < csr.num_vertices(); ++v) {
-    if (v != hub) EXPECT_GT(r.ranks[hub], r.ranks[v]);
+    if (v != hub) {
+      EXPECT_GT(r.ranks[hub], r.ranks[v]);
+    }
   }
 }
 

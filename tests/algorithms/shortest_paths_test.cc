@@ -97,7 +97,9 @@ TEST(FloydWarshallTest, MatchesBellmanFordOnRandomGraphs) {
   for (int i = 0; i < 80; ++i) {
     const VertexId a = rng.NextBounded(n);
     const VertexId b = rng.NextBounded(n);
-    if (a != b && !g.HasEdge(a, b)) ASSERT_TRUE(g.AddEdge(a, b).ok());
+    if (a != b && !g.HasEdge(a, b)) {
+      ASSERT_TRUE(g.AddEdge(a, b).ok());
+    }
   }
   const CsrGraph csr = CsrGraph::FromGraph(g);
   // Deterministic positive weights from indices.

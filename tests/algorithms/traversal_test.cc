@@ -117,7 +117,9 @@ TEST(DiameterTest, EstimateNeverExceedsExact) {
   for (int i = 0; i < 100; ++i) {
     const VertexId a = graph_rng.NextBounded(n);
     const VertexId b = graph_rng.NextBounded(n);
-    if (a != b && !g.HasEdge(a, b)) ASSERT_TRUE(g.AddEdge(a, b).ok());
+    if (a != b && !g.HasEdge(a, b)) {
+      ASSERT_TRUE(g.AddEdge(a, b).ok());
+    }
   }
   const CsrGraph csr = CsrGraph::FromGraph(g);
   const size_t exact = ExactDiameter(csr);

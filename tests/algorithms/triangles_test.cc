@@ -57,7 +57,9 @@ TEST(TrianglesTest, ReciprocalEdgesNotDoubleCounted) {
   for (VertexId v : {1, 2, 3}) ASSERT_TRUE(g.AddVertex(v).ok());
   for (VertexId a : {1, 2, 3}) {
     for (VertexId b : {1, 2, 3}) {
-      if (a != b) ASSERT_TRUE(g.AddEdge(a, b).ok());
+      if (a != b) {
+        ASSERT_TRUE(g.AddEdge(a, b).ok());
+      }
     }
   }
   EXPECT_EQ(CountTriangles(CsrGraph::FromGraph(g)), 1u);

@@ -25,7 +25,7 @@ TEST(ResultTest, HoldsError) {
 }
 
 TEST(ResultTest, OkStatusBecomesInternalError) {
-  Result<int> r = [] -> Result<int> { return Status::OK(); }();
+  Result<int> r = []() -> Result<int> { return Status::OK(); }();
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsInternal());
 }

@@ -1,7 +1,8 @@
 // Bounded-memory smoke test for the streaming generation path.
 //
-// Streams a multi-million-event run through the pipelined writer and
-// asserts peak RSS growth stays under a fixed bound. The event mix is
+// Streams a multi-million-event run through GenerateTo's engine thread and
+// the buffered CSV writer and asserts peak RSS growth stays under a fixed
+// bound. The event mix is
 // balanced (creates ~ removes) so the topology shadow hovers near its
 // bootstrap size and the only thing that scales with --rounds is the
 // stream itself — which the pipeline never materializes. Measured on the

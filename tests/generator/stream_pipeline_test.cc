@@ -1,14 +1,18 @@
 // Tests for the streaming generation path: consumer equivalence with the
-// legacy in-memory path, byte-identical pipelined output, and error
-// propagation through EventConsumer.
+// legacy in-memory path, byte-identical CSV output, the engine-thread
+// hand-off (consumers run on the calling thread), and error propagation
+// through EventConsumer.
 #include "generator/stream_pipeline.h"
 
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "generator/event_consumer.h"
+#include "generator/model.h"
 #include "generator/models/blockchain_model.h"
 #include "generator/models/event_mix_model.h"
 #include "generator/models/social_network_model.h"
@@ -26,6 +30,58 @@ StreamGeneratorOptions TestOptions() {
   options.bootstrap_pause = Duration::FromMillis(10);
   return options;
 }
+
+/// Options whose stream crosses dozens of engine -> caller batch hand-offs.
+StreamGeneratorOptions ManyBatchOptions() {
+  StreamGeneratorOptions options = TestOptions();
+  options.rounds = 60000;
+  return options;
+}
+
+/// Adds one vertex per round until round `fail_at`; from then on it asks
+/// for a marker, which the engine rejects as an error, or throws from the
+/// hook when `throws` is set. With phase markers off the stream holds
+/// exactly `fail_at - 1` events before the failure.
+class FailingModel final : public GeneratorModel {
+ public:
+  FailingModel(size_t fail_at, bool throws)
+      : fail_at_(fail_at), throws_(throws) {}
+
+  std::string Name() const override { return "failing"; }
+  Status BootstrapGraph(GraphBuilder&, GeneratorContext&) override {
+    return Status::OK();
+  }
+  EventType NextEventType(GeneratorContext& ctx) override {
+    if (ctx.round() < fail_at_) return EventType::kAddVertex;
+    if (throws_) throw std::runtime_error("model hook failed");
+    return EventType::kMarker;
+  }
+
+ private:
+  size_t fail_at_;
+  bool throws_;
+};
+
+/// Records the vertex of every event, the threads Consume and Finish ran
+/// on, and how often Finish was called.
+class RecordingConsumer final : public EventConsumer {
+ public:
+  Status Consume(Event&& event) override {
+    vertices.push_back(event.vertex);
+    if (std::this_thread::get_id() != caller) ++off_thread_calls;
+    return Status::OK();
+  }
+  Status Finish() override {
+    ++finish_calls;
+    if (std::this_thread::get_id() != caller) ++off_thread_calls;
+    return Status::OK();
+  }
+
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<VertexId> vertices;
+  size_t off_thread_calls = 0;
+  size_t finish_calls = 0;
+};
 
 /// Reference rendering of the legacy in-memory path: one ToCsvLine string
 /// per event, '\n'-joined — what WriteStreamFile/the seed serializer
@@ -64,10 +120,10 @@ TEST(StreamPipelineTest, CollectingConsumerMatchesLegacyGenerate) {
 
 TEST(StreamPipelineTest, PipelinedWriterByteIdenticalToLegacyPath) {
   // Same seed, two engines: the in-memory path rendered with per-event
-  // ToCsvLine vs the pipelined writer into a memory FILE. Must match to
-  // the byte.
+  // ToCsvLine vs GenerateTo into the CSV writer on a memory FILE, across
+  // dozens of batch hand-offs and writer flushes. Must match to the byte.
   SocialNetworkModel model_a;
-  auto legacy = StreamGenerator(&model_a, TestOptions()).Generate();
+  auto legacy = StreamGenerator(&model_a, ManyBatchOptions()).Generate();
   ASSERT_TRUE(legacy.ok());
   const std::string expected = RenderLegacy(legacy->events);
 
@@ -77,13 +133,9 @@ TEST(StreamPipelineTest, PipelinedWriterByteIdenticalToLegacyPath) {
   ASSERT_NE(mem, nullptr);
   {
     SocialNetworkModel model_b;
-    // Tiny batches to force many queue handoffs and batch recycling.
-    PipelinedWriterOptions wopts;
-    wopts.batch_events = 64;
-    wopts.queue_batches = 2;
-    PipelinedWriterConsumer writer(mem, wopts);
+    PipelinedWriterConsumer writer(mem);
     auto summary =
-        StreamGenerator(&model_b, TestOptions()).GenerateTo(writer);
+        StreamGenerator(&model_b, ManyBatchOptions()).GenerateTo(writer);
     ASSERT_TRUE(summary.ok()) << summary.status().ToString();
     EXPECT_EQ(writer.events_written(), summary->total_events);
     EXPECT_EQ(writer.bytes_written(), expected.size());
@@ -96,10 +148,11 @@ TEST(StreamPipelineTest, PipelinedWriterByteIdenticalToLegacyPath) {
 
 TEST(StreamPipelineTest, PipelinedWriterByteIdenticalAcrossModels) {
   // The event-mix model exercises removals and quoted JSON-ish payloads;
-  // blockchain exercises hub-biased topologies.
+  // blockchain exercises hub-biased topologies. Each stream crosses over
+  // 25 batch hand-offs.
   StreamGeneratorOptions options;
   options.seed = 7;
-  options.rounds = 2000;
+  options.rounds = 25000;
   options.marker_interval = 100;
 
   {
@@ -144,8 +197,52 @@ TEST(StreamPipelineTest, ConsumerErrorAbortsGeneration) {
   auto summary = StreamGenerator(&model, TestOptions()).GenerateTo(consumer);
   ASSERT_FALSE(summary.ok());
   EXPECT_TRUE(summary.status().IsIoError()) << summary.status().ToString();
-  // Generation stopped shortly after the failure, not at stream end.
-  EXPECT_LE(seen, 102u);
+  // Generation stopped at the failure, not at stream end.
+  EXPECT_EQ(seen, 101u);
+}
+
+TEST(StreamPipelineTest, ConsumerRunsOnCallingThread) {
+  SocialNetworkModel model;
+  RecordingConsumer consumer;
+  auto summary =
+      StreamGenerator(&model, ManyBatchOptions()).GenerateTo(consumer);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_EQ(consumer.vertices.size(), summary->total_events);
+  EXPECT_EQ(consumer.finish_calls, 1u);
+  EXPECT_EQ(consumer.off_thread_calls, 0u);
+}
+
+TEST(StreamPipelineTest, EngineErrorDeliversEarlierEventsWithoutFinish) {
+  // 2500 events: two full batches and a partial one precede the error.
+  constexpr size_t kEvents = 2500;
+  FailingModel model(kEvents + 1, /*throws=*/false);
+  StreamGeneratorOptions options;
+  options.rounds = 10000;
+  options.emit_phase_markers = false;
+  RecordingConsumer consumer;
+  auto summary = StreamGenerator(&model, options).GenerateTo(consumer);
+  ASSERT_FALSE(summary.ok());
+  EXPECT_TRUE(summary.status().IsInvalidArgument())
+      << summary.status().ToString();
+  ASSERT_EQ(consumer.vertices.size(), kEvents);
+  for (size_t i = 0; i < kEvents; ++i) {
+    ASSERT_EQ(consumer.vertices[i], i) << "event " << i;
+  }
+  EXPECT_EQ(consumer.finish_calls, 0u);
+  EXPECT_EQ(consumer.off_thread_calls, 0u);
+}
+
+TEST(StreamPipelineTest, ModelExceptionReachesCaller) {
+  constexpr size_t kEvents = 1500;
+  FailingModel model(kEvents + 1, /*throws=*/true);
+  StreamGeneratorOptions options;
+  options.rounds = 10000;
+  options.emit_phase_markers = false;
+  RecordingConsumer consumer;
+  StreamGenerator generator(&model, options);
+  EXPECT_THROW((void)generator.GenerateTo(consumer), std::runtime_error);
+  EXPECT_EQ(consumer.vertices.size(), kEvents);
+  EXPECT_EQ(consumer.finish_calls, 0u);
 }
 
 TEST(StreamPipelineTest, AppendEventLineMatchesToCsvLine) {
@@ -169,7 +266,7 @@ TEST(StreamPipelineTest, AppendEventLineMatchesToCsvLine) {
 
 TEST(StreamPipelineTest, WriterReportsIoErrorFromClosedFile) {
   // A FILE* opened read-only rejects writes; the error must surface from
-  // GenerateTo rather than being swallowed by the writer thread.
+  // GenerateTo rather than being swallowed.
   FILE* readonly = std::fopen("/dev/null", "r");
   ASSERT_NE(readonly, nullptr);
   SocialNetworkModel model;

@@ -65,7 +65,9 @@ TEST(CsrGraphTest, DegreesMatchGraph) {
   for (int i = 0; i < 300; ++i) {
     const VertexId a = rng.NextBounded(n);
     const VertexId b = rng.NextBounded(n);
-    if (a != b && !g.HasEdge(a, b)) ASSERT_TRUE(g.AddEdge(a, b).ok());
+    if (a != b && !g.HasEdge(a, b)) {
+      ASSERT_TRUE(g.AddEdge(a, b).ok());
+    }
   }
   const CsrGraph csr = CsrGraph::FromGraph(g);
   EXPECT_EQ(csr.num_edges(), g.num_edges());
@@ -83,7 +85,9 @@ TEST(CsrGraphTest, NeighborListsSorted) {
   for (int i = 0; i < 200; ++i) {
     const VertexId a = rng.NextBounded(n);
     const VertexId b = rng.NextBounded(n);
-    if (a != b && !g.HasEdge(a, b)) ASSERT_TRUE(g.AddEdge(a, b).ok());
+    if (a != b && !g.HasEdge(a, b)) {
+      ASSERT_TRUE(g.AddEdge(a, b).ok());
+    }
   }
   const CsrGraph csr = CsrGraph::FromGraph(g);
   for (CsrGraph::Index v = 0; v < n; ++v) {

@@ -81,7 +81,9 @@ TEST(CapacitySearchTest, BisectionConvergesWithinResolution) {
   bool refining_seen = false;
   for (const CapacityStep& step : search.steps()) {
     if (step.phase == CapacityPhase::kRefining) refining_seen = true;
-    if (refining_seen) EXPECT_EQ(step.phase, CapacityPhase::kRefining);
+    if (refining_seen) {
+      EXPECT_EQ(step.phase, CapacityPhase::kRefining);
+    }
   }
   EXPECT_TRUE(refining_seen);
 }

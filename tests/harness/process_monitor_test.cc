@@ -14,7 +14,7 @@ void BurnCpu(int ms) {
       std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
   volatile uint64_t sink = 0;
   while (std::chrono::steady_clock::now() < end) {
-    for (int i = 0; i < 10000; ++i) sink += i;
+    for (int i = 0; i < 10000; ++i) sink = sink + i;
   }
 }
 

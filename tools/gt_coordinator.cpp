@@ -6,8 +6,8 @@
 // and merges per-range telemetry into one fleet report.
 //
 // Usage:
-//   gt_coordinator --stream s.gts --total-shards 4 --workers 2 \
-//       --checkpoint-prefix wd/cp --out wd/out [--listen 127.0.0.1:0] \
+//   gt_coordinator --stream s.gts --total-shards 4 --workers 2
+//       --checkpoint-prefix wd/cp --out wd/out [--listen 127.0.0.1:0]
 //       [--port-file wd/port]
 //
 // Flags:

@@ -10,7 +10,7 @@
 //   --seed S           generator seed                     (default 42)
 //   --out FILE         output stream file                 (default stdout)
 //   --stream-out FILE  stream events straight to FILE ("-" = stdout)
-//                      through the pipelined writer: constant memory in
+//                      from the engine thread: constant memory in
 //                      the stream length, so arbitrarily long streams fit
 //                      in a fixed RSS budget
 //   --format F         csv (default) | v2 — output encoding; v2 writes
@@ -133,8 +133,9 @@ int main(int argc, char** argv) {
 
   const std::string stream_out = flags.GetString("stream-out", "");
   if (!stream_out.empty()) {
-    // Streaming path: generator thread -> batch queue -> writer thread,
-    // one write per block; RSS stays bounded regardless of --rounds.
+    // Streaming path: generator engine thread -> batch queue -> this
+    // thread's serializer and writer; RSS stays bounded regardless of
+    // --rounds.
     FILE* file = stdout;
     if (stream_out != "-") {
       file = std::fopen(stream_out.c_str(), v2_out ? "wb" : "w");
