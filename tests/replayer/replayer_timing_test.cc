@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -118,6 +119,63 @@ TEST(ReplayerTest, CancelDrainsReadAheadUnpacedAndResumesExactly) {
   ASSERT_TRUE(stats2.ok()) << stats2.status();
   EXPECT_EQ(stats2->events_delivered, events.size());
   EXPECT_EQ(part1.bytes() + part2.bytes(), golden.bytes());
+}
+
+TEST(ReplayerTest, CancelWhileTheFileDecoderIsBlockedReturnsPromptly) {
+  // 200k entries is far more than the lane queue and the decode read-ahead
+  // hold together, so at 20k ev/s every stage upstream of the lane is
+  // blocked on a full queue when the cancel fires.
+  const std::vector<Event> events = VertexStream(200000);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("gt_replay_decode_cancel_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string stream_path = (dir / "s.gts").string();
+  const std::string cp_path = (dir / "cp").string();
+  {
+    std::ofstream out(stream_path, std::ios::binary);
+    for (const Event& e : events) out << e.ToCsvLine() << '\n';
+    ASSERT_TRUE(out.good());
+  }
+  auto replay_file = [&](double rate_eps, EventSink* sink,
+                         const CancellationToken* cancel,
+                         const ReplayCheckpoint* resume) {
+    ShardedReplayerOptions options;
+    options.total_rate_eps = rate_eps;
+    options.cancel = cancel;
+    options.checkpoint_path = cancel != nullptr ? cp_path : "";
+    ShardedReplayer replayer(options);
+    return replayer.ReplayFile(stream_path, {sink}, resume).status();
+  };
+
+  RecordingSink golden;
+  ASSERT_TRUE(replay_file(1e9, &golden, nullptr, nullptr).ok());
+
+  CancellationToken cancel;
+  MonotonicClock clock;
+  Timestamp cancelled_at;
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    cancelled_at = clock.Now();
+    cancel.RequestCancel("test cancel");
+  });
+  RecordingSink part1;
+  const Status status1 = replay_file(20000.0, &part1, &cancel, nullptr);
+  const Timestamp returned_at = clock.Now();
+  canceller.join();
+  EXPECT_TRUE(status1.IsCancelled()) << status1;
+  EXPECT_LT((returned_at - cancelled_at).seconds(), 0.5);
+
+  // The cancelled run stopped well short of the end, and its final
+  // checkpoint resumes byte-exactly.
+  auto cp = ReplayCheckpoint::LoadFrom(cp_path);
+  ASSERT_TRUE(cp.ok()) << cp.status();
+  EXPECT_GT(cp->events_delivered, 0u);
+  EXPECT_LT(cp->events_delivered, events.size() / 2);
+  RecordingSink part2;
+  ASSERT_TRUE(replay_file(1e9, &part2, nullptr, &*cp).ok());
+  EXPECT_EQ(part1.bytes() + part2.bytes(), golden.bytes());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
