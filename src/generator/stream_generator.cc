@@ -1,95 +1,32 @@
 #include "generator/stream_generator.h"
 
-#include <algorithm>
-#include <atomic>
 #include <charconv>
-#include <cstring>
 #include <exception>
 #include <optional>
 #include <thread>
 
 #include "replayer/event_batch.h"
-#include "replayer/spsc_queue.h"
 
 namespace graphtides {
 
 namespace {
 
-/// Events per batch handed from the engine thread to the caller.
-constexpr size_t kBatchEvents = 1024;
-/// Depth of the engine -> caller queue (and of the recycle queue); bounds
-/// the events in flight to about kQueueBatches * kBatchEvents.
-constexpr size_t kQueueBatches = 8;
-
-/// \brief The engine thread's sink in GenerateTo: packs events into batch
-/// arenas and hands full batches to the calling thread. Drained batches
-/// come back through the recycle queue, so the steady state allocates
-/// nothing.
-class BatchHandoff final : public EventConsumer {
+/// \brief The engine thread's sink in GenerateTo: packs events into the
+/// hand-off's batches; fails once the caller has stopped.
+class HandoffConsumer final : public EventConsumer {
  public:
-  BatchHandoff() : full_(kQueueBatches), recycle_(kQueueBatches) {
-    current_.Reserve(kBatchEvents);
-  }
+  explicit HandoffConsumer(BatchHandoff* handoff) : handoff_(handoff) {}
 
-  /// Engine thread. Fails once the caller has stopped.
   Status Consume(Event&& event) override {
-    current_.Append(event.type, event.vertex, event.edge, event.payload,
-                    event.rate_factor, event.pause);
-    if (!current_.Full(kBatchEvents)) return Status::OK();
-    if (!Push()) return Status::Cancelled("stream consumer stopped");
-    if (std::optional<EventBatch> recycled = recycle_.TryPop()) {
-      current_ = std::move(*recycled);
-    } else {
-      current_ = EventBatch();
-      current_.Reserve(kBatchEvents);
+    if (handoff_->Add(event.type, event.vertex, event.edge, event.payload,
+                      event.rate_factor, event.pause)) {
+      return Status::OK();
     }
-    return Status::OK();
+    return Status::Cancelled("stream consumer stopped");
   }
-
-  /// Engine thread: hands over the partial batch; no batch follows.
-  void Close() {
-    if (!current_.records.empty()) (void)Push();
-    closed_.store(true, std::memory_order_release);
-  }
-
-  /// Caller thread: the next batch in stream order, waiting for the engine;
-  /// nullopt once the engine has closed and every batch is drained.
-  std::optional<EventBatch> Next() {
-    for (;;) {
-      if (std::optional<EventBatch> batch = full_.TryPop()) return batch;
-      // The engine pushes its last batch before closing, so one more pop
-      // after seeing the flag finds anything still queued.
-      if (closed_.load(std::memory_order_acquire)) return full_.TryPop();
-      std::this_thread::yield();
-    }
-  }
-
-  /// Caller thread: returns a drained batch for reuse (freed if the
-  /// recycle queue is full).
-  void Recycle(EventBatch batch) {
-    batch.Clear();
-    (void)recycle_.TryPush(std::move(batch));
-  }
-
-  /// Caller thread: the engine stops at its next hand-off.
-  void Stop() { stopped_.store(true, std::memory_order_release); }
 
  private:
-  /// Engine thread: hands current_ over, waiting while the queue is full;
-  /// false once the caller has stopped.
-  bool Push() {
-    while (!stopped_.load(std::memory_order_acquire)) {
-      if (full_.TryPush(std::move(current_))) return true;
-      std::this_thread::yield();
-    }
-    return false;
-  }
-
-  EventBatch current_;
-  SpscQueue<EventBatch> full_;
-  SpscQueue<EventBatch> recycle_;
-  std::atomic<bool> closed_{false};
-  std::atomic<bool> stopped_{false};
+  BatchHandoff* handoff_;
 };
 
 }  // namespace
@@ -166,7 +103,8 @@ Result<GenerateSummary> StreamGenerator::GenerateTo(EventConsumer& consumer) {
   std::exception_ptr engine_exception;
   std::thread engine([&] {
     try {
-      engine_result = RunEngine(handoff);
+      HandoffConsumer sink(&handoff);
+      engine_result = RunEngine(sink);
     } catch (...) {
       engine_exception = std::current_exception();
     }

@@ -5,9 +5,9 @@
 // deadlines) and emitted by its own thread into its own sink — the
 // multi-replayer horizontal-scaling setup of §5.2 collapsed into one
 // process on one multi-core machine. With one shard it is the paper's
-// single replayer: one reader thread, one emitter thread. Markers are
-// timestamped and logged (not delivered); SET_RATE and PAUSE controls
-// retune or suspend emission.
+// single replayer: one reader thread, one emitter thread, plus a decode
+// thread for file input. Markers are timestamped and logged (not
+// delivered); SET_RATE and PAUSE controls retune or suspend emission.
 //
 // Partitioning and ordering guarantees:
 //   * vertex events are routed by hash(vertex id); edge events by
@@ -24,12 +24,18 @@
 //     graph events), delivered to sinks via DeliverSequenced, so per-shard
 //     captures can be merged back into total stream order.
 //
-// Hot path: the reader parses with the zero-copy ParseEventLineView over a
-// BlockLineReader, appends payload bytes into a per-batch arena (batches
-// are recycled through a per-lane return queue, so steady state allocates
-// nothing), and lanes either serialize canonical CSV into a reusable
-// buffer handed to the sink once per batch (SupportsSerialized transports:
-// pipe, TCP) or materialize into one reusable Event for decorated sinks.
+// Hot path: for file input a decode thread runs the format's decoder (the
+// zero-copy ParseEventLineView over a BlockLineReader for CSV, the mmap'd
+// V2StreamReader for v2) and hands the entries to the reader in
+// 1024-event batches over a BatchHandoff (replayer/event_batch.h). The
+// reader only pops views, counts, routes them and broadcasts barriers: it
+// appends payload bytes into a per-lane batch arena (batches are recycled
+// through a per-lane return queue, so steady state allocates nothing), and
+// lanes either serialize canonical CSV into a reusable buffer handed to the
+// sink once per batch (SupportsSerialized transports: pipe, TCP) or
+// materialize into one reusable Event for decorated sinks. A decode error
+// reaches the reader after every entry before it; every way out of a run
+// stops and joins the decode thread.
 //
 // Wait points: a lane hands its pending events to the sink and accounts
 // them (progress counter, achieved-rate bins, lag, telemetry) only where it
@@ -37,8 +43,9 @@
 // end of each batch. A paced lane therefore delivers and accounts every
 // event at its slot, while a saturated lane, which never waits, does both
 // once per batch. A wait point also polls the live rate target and, once
-// `cancel` has fired, skips the wait, so a cancelled run drains its
-// read-ahead unpaced.
+// `cancel` has fired, skips the wait, so a cancelled run drains the
+// read-ahead its lanes already hold unpaced; the decode thread's read-ahead
+// is dropped.
 #ifndef GRAPHTIDES_REPLAYER_SHARDED_REPLAYER_H_
 #define GRAPHTIDES_REPLAYER_SHARDED_REPLAYER_H_
 
@@ -223,9 +230,10 @@ struct ShardedReplayerOptions {
   /// `shards` slots. Each lane records sampled per-stage spans and its
   /// delivered/fault counters into its own slot (sampling is 1-in-N
   /// delivery hand-offs, so 1-in-N events when paced and 1-in-N batches
-  /// when saturated); the reader records read-stage spans
-  /// into slot 0 and feeds marker sends to the hub's correlator. No-op
-  /// under -DGT_TELEMETRY_OFF.
+  /// when saturated); the decoder (the decode thread for file input, the
+  /// reader for in-memory input) records read-stage spans into slot 0, and
+  /// marker sends feed the hub's correlator. No-op under
+  /// -DGT_TELEMETRY_OFF.
   RunTelemetry* telemetry = nullptr;
 };
 
@@ -256,7 +264,8 @@ class ShardedReplayer {
                                     const std::vector<EventSink*>& sinks,
                                     const ReplayCheckpoint* resume = nullptr);
 
-  /// Streams a file through the zero-copy block reader without loading it.
+  /// Streams a file (CSV or v2, by magic) without loading it, decoding on
+  /// its own thread.
   Result<ShardedReplayStats> ReplayFile(
       const std::string& path, const std::vector<EventSink*>& sinks,
       const ReplayCheckpoint* resume = nullptr);
@@ -277,11 +286,12 @@ class ShardedReplayer {
   }
 
  private:
-  /// Pull source yielding borrowed views; a view is valid until the next
-  /// call. nullopt signals end of stream.
-  using SourceFn = std::function<Result<std::optional<EventView>>()>;
-
-  Result<ShardedReplayStats> Run(const SourceFn& source,
+  /// Replays what `source` yields: Next() returns a borrowed view, valid
+  /// until the next call (nullopt at end of stream, or a decode error), and
+  /// Stop() is called once the reader pulls no more. The reader runs on the
+  /// calling thread.
+  template <typename Source>
+  Result<ShardedReplayStats> Run(Source& source,
                                  const std::vector<EventSink*>& sinks,
                                  const ReplayCheckpoint* resume);
 
