@@ -195,10 +195,10 @@ ChronoLite::ChronoLite(Simulator* sim, ChronoLiteOptions options)
   for (size_t i = 0; i <= options_.num_workers; ++i) {
     channels_[i].resize(options_.num_workers);
     for (size_t j = 0; j < options_.num_workers; ++j) {
-      const std::string name = (i == options_.num_workers)
-                                   ? "broker->w" + std::to_string(j)
-                                   : "w" + std::to_string(i) + "->w" +
-                                         std::to_string(j);
+      std::string name = (i == options_.num_workers)
+                             ? std::string("broker")
+                             : std::string("w").append(std::to_string(i));
+      name.append("->w").append(std::to_string(j));
       channels_[i][j].link =
           std::make_unique<SimLink>(sim, name, options_.link);
     }

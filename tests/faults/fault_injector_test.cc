@@ -124,7 +124,7 @@ TEST(FaultInjectorTest, ProtectsMarkersAndControls) {
   std::vector<Event> events;
   for (int i = 0; i < 500; ++i) {
     events.push_back(Event::AddVertex(static_cast<VertexId>(i)));
-    events.push_back(Event::Marker("M" + std::to_string(i)));
+    events.push_back(Event::Marker(std::string("M").append(std::to_string(i))));
     events.push_back(Event::SetRate(2.0));
   }
   FaultOptions options;
@@ -239,7 +239,7 @@ TEST(FaultInjectorTest, UnprotectedCombinedFaultsOnMixedStream) {
   std::vector<Event> events;
   for (int i = 0; i < 1000; ++i) {
     events.push_back(Event::AddVertex(static_cast<VertexId>(i)));
-    events.push_back(Event::Marker("M" + std::to_string(i)));
+    events.push_back(Event::Marker(std::string("M").append(std::to_string(i))));
     events.push_back(Event::SetRate(1.5));
   }
   FaultOptions options;

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "generator/models/event_mix_model.h"
 #include "generator/models/social_network_model.h"
 #include "generator/stream_generator.h"
+#include "replayer/event_batch.h"
 #include "stream/event.h"
 
 namespace graphtides {
@@ -154,15 +156,28 @@ TEST(StreamPipelineTest, PipelinedWriterByteIdenticalAcrossModels) {
   options.seed = 7;
   options.rounds = 25000;
   options.marker_interval = 100;
+  // A 1000-vertex bootstrap instead of Table 3's 10000 x 50 edges keeps
+  // the stream at about 31k events instead of 525k.
+  EventMixModelOptions mix;
+  mix.ba = {1000, 20, 5};
 
   {
-    EventMixModel model_a{EventMixModelOptions{}};
+    EventMixModel model_a{mix};
     auto legacy = StreamGenerator(&model_a, options).Generate();
     ASSERT_TRUE(legacy.ok());
+    EXPECT_GE(legacy->events.size(), 25 * BatchHandoff::kBatchEvents);
+    size_t removals = 0;
+    size_t quoted = 0;
+    for (const Event& e : legacy->events) {
+      removals += IsRemoveOp(e.type) ? 1 : 0;
+      quoted += e.ToCsvLine().find('"') != std::string::npos ? 1 : 0;
+    }
+    EXPECT_GT(removals, 0u);
+    EXPECT_GT(quoted, 0u);
     char* data = nullptr;
     size_t size = 0;
     FILE* mem = open_memstream(&data, &size);
-    EventMixModel model_b{EventMixModelOptions{}};
+    EventMixModel model_b{mix};
     PipelinedWriterConsumer writer(mem);
     auto summary = StreamGenerator(&model_b, options).GenerateTo(writer);
     ASSERT_TRUE(summary.ok());

@@ -194,7 +194,8 @@ TEST(StreamingCorrelatorTest, PendingBudgetEvictsOldestFirst) {
   options.keep_records = true;
   StreamingMarkerCorrelator c(options);
   for (int i = 0; i < 10; ++i) {
-    c.MarkerSent("M" + std::to_string(i), Timestamp::FromMillis(i));
+    c.MarkerSent(std::string("M").append(std::to_string(i)),
+                 Timestamp::FromMillis(i));
   }
   const CorrelatorCounts counts = c.Counts();
   EXPECT_EQ(counts.pending, 4u);
@@ -240,19 +241,22 @@ TEST(StreamingCorrelatorTest, ConcurrentSendersAndObserversStayConsistent) {
   constexpr int kSenders = 3;
   std::atomic<bool> go{false};
   std::vector<std::thread> threads;
+  auto label = [](int s, int i) {
+    std::string out("T");
+    out.append(std::to_string(s)).append("-").append(std::to_string(i));
+    return out;
+  };
   for (int s = 0; s < kSenders; ++s) {
-    threads.emplace_back([&c, &go, s] {
+    threads.emplace_back([&c, &go, &label, s] {
       while (!go.load()) std::this_thread::yield();
       for (int i = 0; i < kPerThread; ++i) {
-        c.MarkerSent("T" + std::to_string(s) + "-" + std::to_string(i),
-                     Timestamp::FromNanos(i));
+        c.MarkerSent(label(s, i), Timestamp::FromNanos(i));
       }
     });
-    threads.emplace_back([&c, &go, s] {
+    threads.emplace_back([&c, &go, &label, s] {
       while (!go.load()) std::this_thread::yield();
       for (int i = 0; i < kPerThread; ++i) {
-        c.MarkerObserved("T" + std::to_string(s) + "-" + std::to_string(i),
-                         Timestamp::FromNanos(i + 1));
+        c.MarkerObserved(label(s, i), Timestamp::FromNanos(i + 1));
       }
     });
   }

@@ -154,12 +154,13 @@ std::vector<Event> SyntheticStream(size_t graph_events) {
   std::vector<Event> events;
   for (size_t i = 0; i < graph_events; ++i) {
     if (i > 0 && i % 500 == 0) {
-      events.push_back(Event::Marker("m" + std::to_string(i)));
+      events.push_back(
+          Event::Marker(std::string("m").append(std::to_string(i))));
     }
     if (i == graph_events / 4) events.push_back(Event::SetRate(2.0));
     if (i == 3 * graph_events / 4) events.push_back(Event::SetRate(4.0));
-    events.push_back(Event::AddVertex(static_cast<VertexId>(i),
-                                      "p" + std::to_string(i)));
+    events.push_back(Event::AddVertex(
+        static_cast<VertexId>(i), std::string("p").append(std::to_string(i))));
   }
   return events;
 }

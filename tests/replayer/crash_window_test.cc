@@ -47,10 +47,12 @@ class CrashWindowTest : public ::testing::Test {
     std::vector<Event> events;
     for (size_t i = 0; i < 2000; ++i) {
       if (i > 0 && i % 400 == 0) {
-        events.push_back(Event::Marker("m" + std::to_string(i)));
+        events.push_back(
+            Event::Marker(std::string("m").append(std::to_string(i))));
       }
-      events.push_back(Event::AddVertex(static_cast<VertexId>(i),
-                                        "p" + std::to_string(i)));
+      events.push_back(
+          Event::AddVertex(static_cast<VertexId>(i),
+                           std::string("p").append(std::to_string(i))));
     }
     ASSERT_TRUE(WriteStreamFile(stream_path_, events).ok());
   }

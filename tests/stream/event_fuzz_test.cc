@@ -42,7 +42,7 @@ Event RandomValidEvent(Rng& rng) {
     case 5:
       return Event::UpdateEdge(a, b, "w=2");
     case 6:
-      return Event::Marker("m" + std::to_string(a));
+      return Event::Marker(std::string("m").append(std::to_string(a)));
     case 7:
       return Event::SetRate(1.5);
     default:

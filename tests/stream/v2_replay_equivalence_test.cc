@@ -56,14 +56,16 @@ std::vector<Event> MixedStream(size_t graph_events) {
   size_t emitted = 0;
   while (emitted < graph_events) {
     const uint64_t v = next_vertex++;
-    events.push_back(Event::AddVertex(v, "s" + std::to_string(v)));
+    const std::string id = std::to_string(v);
+    events.push_back(Event::AddVertex(v, "s" + id));
     ++emitted;
     if (v >= 2 && emitted < graph_events) {
-      events.push_back(Event::AddEdge(v, v / 2, "w" + std::to_string(v)));
+      events.push_back(Event::AddEdge(v, v / 2, "w" + id));
       ++emitted;
     }
     if (emitted % 500 == 0) {
-      events.push_back(Event::Marker("m" + std::to_string(emitted)));
+      events.push_back(
+          Event::Marker(std::string("m").append(std::to_string(emitted))));
     }
     if (emitted == graph_events / 2) events.push_back(Event::SetRate(2.0));
   }

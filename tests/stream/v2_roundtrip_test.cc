@@ -93,7 +93,8 @@ TEST_F(V2RoundTripTest, MmapAndBufferedReadersAgree) {
   // Enough events to span several sealed blocks.
   std::vector<Event> events;
   for (uint64_t v = 0; v < 3 * kV2RecordsPerBlock + 17; ++v) {
-    events.push_back(Event::AddVertex(v, "s" + std::to_string(v % 97)));
+    events.push_back(
+        Event::AddVertex(v, std::string("s").append(std::to_string(v % 97))));
   }
   ASSERT_TRUE(WriteV2StreamFile(Path("big.gts2"), events).ok());
 
