@@ -321,8 +321,9 @@ TEST(CapacityTsanTest, ConcurrentHubWritersAndProbeReader) {
                         Duration::FromMicros(10 + i % 90));
         hub.AddDelivered(shard, 1);
         if (i % 100 == 0) {
-          const std::string label =
-              "m" + std::to_string(shard) + "-" + std::to_string(i);
+          std::string label("m");
+          label.append(std::to_string(shard)).append("-").append(
+              std::to_string(i));
           const Timestamp t = Timestamp::FromMillis(i);
           hub.markers().MarkerSent(label, t);
           hub.markers().MarkerObserved(label, t + Duration::FromMillis(2));
