@@ -52,8 +52,17 @@ TEST(ParseUint64Test, ValidAndInvalid) {
   EXPECT_EQ(ParseUint64("42").value(), 42u);
   EXPECT_EQ(ParseUint64("18446744073709551615").value(),
             18446744073709551615ULL);
+  EXPECT_EQ(ParseUint64("000000000000000000000042").value(), 42u);
+  EXPECT_FALSE(ParseUint64("18446744073709551616").ok());
+  EXPECT_FALSE(ParseUint64("99999999999999999999").ok());
   EXPECT_FALSE(ParseUint64("-1").ok());
+  EXPECT_FALSE(ParseUint64("+1").ok());
+  EXPECT_FALSE(ParseUint64(" 1").ok());
+  EXPECT_FALSE(ParseUint64("1 ").ok());
+  EXPECT_FALSE(ParseUint64("12x").ok());
   EXPECT_FALSE(ParseUint64("").ok());
+  EXPECT_EQ(ParseUint64("4x").status().message(),
+            "not an unsigned integer: '4x'");
 }
 
 TEST(ParseDoubleTest, ValidValues) {
