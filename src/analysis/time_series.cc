@@ -33,12 +33,6 @@ Timestamp TimeSeries::end() const {
   return points_.empty() ? Timestamp() : points_.back().time;
 }
 
-RunningStats TimeSeries::ValueStats() const {
-  RunningStats rs;
-  for (const TimePoint& p : points_) rs.Add(p.value);
-  return rs;
-}
-
 std::vector<double> TimeSeries::ResampleMean(Timestamp from, Timestamp to,
                                              Duration bin, double fill) const {
   EnsureSorted();
@@ -58,23 +52,6 @@ std::vector<double> TimeSeries::ResampleMean(Timestamp from, Timestamp to,
   out.resize(bins);
   for (size_t i = 0; i < bins; ++i) {
     out[i] = counts[i] > 0 ? sums[i] / static_cast<double>(counts[i]) : fill;
-  }
-  return out;
-}
-
-std::vector<double> TimeSeries::ResampleSum(Timestamp from, Timestamp to,
-                                            Duration bin) const {
-  EnsureSorted();
-  std::vector<double> out;
-  if (to <= from || bin <= Duration::Zero()) return out;
-  const size_t bins = static_cast<size_t>(
-      ((to - from).nanos() + bin.nanos() - 1) / bin.nanos());
-  out.assign(bins, 0.0);
-  for (const TimePoint& p : points_) {
-    if (p.time < from || p.time >= to) continue;
-    const size_t idx =
-        static_cast<size_t>((p.time - from).nanos() / bin.nanos());
-    out[idx] += p.value;
   }
   return out;
 }

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/stats.h"
 
 namespace graphtides {
 
@@ -39,17 +38,10 @@ class TimeSeries {
   Timestamp start() const;
   Timestamp end() const;
 
-  RunningStats ValueStats() const;
-
   /// \brief Mean of samples per fixed-width bin over [from, to).
   /// Bins without samples get `fill`.
   std::vector<double> ResampleMean(Timestamp from, Timestamp to, Duration bin,
                                    double fill = 0.0) const;
-
-  /// \brief Sum of samples per bin (for count-style metrics; divide by the
-  /// bin width for a rate).
-  std::vector<double> ResampleSum(Timestamp from, Timestamp to,
-                                  Duration bin) const;
 
  private:
   void EnsureSorted() const;

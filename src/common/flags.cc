@@ -91,4 +91,17 @@ std::vector<std::string> Flags::UnknownFlags(
   return unknown;
 }
 
+Result<HostPort> ParseHostPort(const std::string& spec,
+                               const std::string& flag, bool allow_port_zero) {
+  const auto parts = SplitString(spec, ':');
+  if (parts.size() != 2 || parts[0].empty()) {
+    return Status::InvalidArgument("--" + flag + " expects HOST:PORT");
+  }
+  const auto port = ParseUint64(parts[1]);
+  if (!port.ok() || *port > 65535 || (*port == 0 && !allow_port_zero)) {
+    return Status::InvalidArgument("bad port in --" + flag);
+  }
+  return HostPort{std::string(parts[0]), static_cast<uint16_t>(*port)};
+}
+
 }  // namespace graphtides

@@ -41,6 +41,21 @@ class Flags {
   std::vector<std::string> positional_;
 };
 
+/// \brief A HOST:PORT endpoint given on the command line.
+struct HostPort {
+  std::string host;
+  uint16_t port = 0;
+};
+
+/// \brief Splits `spec`, the value of `--flag`, at its one ':' into a
+/// non-empty host and a port. The port must be a number in [1, 65535]; with
+/// `allow_port_zero` (a listener) 0 is accepted too and asks the OS for an
+/// ephemeral port.
+/// InvalidArgument "--flag expects HOST:PORT" or "bad port in --flag".
+Result<HostPort> ParseHostPort(const std::string& spec,
+                               const std::string& flag,
+                               bool allow_port_zero = false);
+
 }  // namespace graphtides
 
 #endif  // GRAPHTIDES_COMMON_FLAGS_H_

@@ -1,7 +1,6 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace graphtides {
@@ -127,51 +126,6 @@ ConfidenceInterval MeanConfidenceInterval(const std::vector<double>& values,
   ci.lower = ci.mean - t * se;
   ci.upper = ci.mean + t * se;
   return ci;
-}
-
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  assert(hi > lo);
-  assert(buckets > 0);
-  width_ = (hi - lo) / static_cast<double>(buckets);
-}
-
-void Histogram::Add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++counts_.front();
-    return;
-  }
-  size_t idx = static_cast<size_t>((x - lo_) / width_);
-  if (idx >= counts_.size()) idx = counts_.size() - 1;
-  ++counts_[idx];
-}
-
-double Histogram::BucketLow(size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::BucketHigh(size_t i) const {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-double Histogram::ApproxPercentile(double q) const {
-  if (total_ == 0) return lo_;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double acc = 0.0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    const double next = acc + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      const double frac =
-          counts_[i] == 0
-              ? 0.0
-              : (target - acc) / static_cast<double>(counts_[i]);
-      return BucketLow(i) + frac * width_;
-    }
-    acc = next;
-  }
-  return hi_;
 }
 
 }  // namespace graphtides

@@ -73,28 +73,6 @@ ConfidenceInterval MeanConfidenceInterval(const std::vector<double>& values,
 /// converges to the normal z value for large df).
 double StudentTCritical(double level, size_t df);
 
-/// \brief Fixed-width histogram over [lo, hi) with `buckets` buckets.
-/// Out-of-range samples clamp into the first/last bucket.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets);
-
-  void Add(double x);
-  size_t total() const { return total_; }
-  const std::vector<size_t>& counts() const { return counts_; }
-  double BucketLow(size_t i) const;
-  double BucketHigh(size_t i) const;
-  /// Approximate quantile from bucket boundaries.
-  double ApproxPercentile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  size_t total_ = 0;
-  std::vector<size_t> counts_;
-};
-
 }  // namespace graphtides
 
 #endif  // GRAPHTIDES_COMMON_STATS_H_

@@ -1,6 +1,5 @@
 #include "distributed/worker.h"
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -14,6 +13,7 @@
 #include "distributed/backoff.h"
 #include "replayer/checkpoint.h"
 #include "replayer/event_sink.h"
+#include "replayer/lane_outputs.h"
 #include "replayer/sharded_replayer.h"
 
 namespace graphtides {
@@ -316,53 +316,15 @@ void ReplayWorker::RunRangeTask(Task* task) {
   // (gt_replay --out with total_shards lanes): global shard s writes
   // <out>.shard<s>. On resume, truncate to the checkpointed offset first.
   const size_t width = task->range.width();
-  std::vector<std::FILE*> files;
-  std::vector<std::unique_ptr<PipeSink>> pipe_sinks;
-  std::vector<EventSink*> lane_sinks;
-  auto close_files = [&] {
-    for (std::FILE* f : files) std::fclose(f);
-    files.clear();
-  };
+  std::vector<std::string> paths;
   for (size_t l = 0; l < width; ++l) {
-    const std::string path = task->out_prefix + ".shard" +
-                             std::to_string(task->range.begin + l);
-    if (resume.has_value()) {
-      if (resume->sink_bytes.size() != width) {
-        close_files();
-        report_error(Status::InvalidArgument(
-            "checkpoint for range " + range_text + " records " +
-            std::to_string(resume->sink_bytes.size()) +
-            " sink offsets, expected " + std::to_string(width)));
-        return;
-      }
-      struct ::stat file_stat {};
-      if (::stat(path.c_str(), &file_stat) != 0) {
-        close_files();
-        report_error(Status::IoError("cannot stat " + path));
-        return;
-      }
-      if (static_cast<uint64_t>(file_stat.st_size) < resume->sink_bytes[l]) {
-        close_files();
-        report_error(Status::IoError(
-            path + " is shorter than its checkpointed offset"));
-        return;
-      }
-      if (::truncate(path.c_str(),
-                     static_cast<off_t>(resume->sink_bytes[l])) != 0) {
-        close_files();
-        report_error(Status::IoError("cannot truncate " + path));
-        return;
-      }
-    }
-    std::FILE* f = std::fopen(path.c_str(), resume ? "ab" : "wb");
-    if (f == nullptr) {
-      close_files();
-      report_error(Status::IoError("cannot open " + path));
-      return;
-    }
-    files.push_back(f);
-    pipe_sinks.push_back(std::make_unique<PipeSink>(f));
-    lane_sinks.push_back(pipe_sinks.back().get());
+    paths.push_back(ShardOutputPath(task->out_prefix, task->range.begin + l));
+  }
+  Result<LaneOutputs> outputs =
+      OpenLaneOutputs(paths, resume ? &*resume : nullptr);
+  if (!outputs.ok()) {
+    report_error(outputs.status().WithContext("range " + range_text));
+    return;
   }
 
   if (resume.has_value()) {
@@ -428,9 +390,9 @@ void ReplayWorker::RunRangeTask(Task* task) {
     task->replayer = replayer;
   }
 
-  auto stats = replayer->ReplayFile(task->stream, lane_sinks,
+  auto stats = replayer->ReplayFile(task->stream, outputs->sinks(),
                                     resume ? &*resume : nullptr);
-  close_files();
+  outputs->Close();
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Cumulative across resumes: the final value IS the range's total.

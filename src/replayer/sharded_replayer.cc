@@ -12,6 +12,7 @@
 #include "common/fault_plan.h"
 #include "replayer/event_batch.h"
 #include "replayer/rate_controller.h"
+#include "replayer/replay_config.h"
 #include "replayer/spsc_queue.h"
 #include "stream/block_reader.h"
 #include "stream/v2_format.h"
@@ -344,8 +345,9 @@ template <typename Source>
 Result<ShardedReplayStats> ShardedReplayer::Run(
     Source& source, const std::vector<EventSink*>& sinks,
     const ReplayCheckpoint* resume) {
+  GT_RETURN_NOT_OK(
+      ValidateReplayConfig(options_, {.resume = resume != nullptr}));
   const size_t shards = options_.shards;
-  if (shards == 0) return Status::InvalidArgument("shards must be >= 1");
   if (sinks.size() != shards) {
     return Status::InvalidArgument(
         "need exactly one sink per shard (" + std::to_string(shards) +
@@ -354,24 +356,9 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
   for (EventSink* sink : sinks) {
     if (sink == nullptr) return Status::InvalidArgument("null sink");
   }
-  if (options_.total_rate_eps <= 0.0) {
-    return Status::InvalidArgument("total_rate_eps must be positive");
-  }
-  if (options_.batch_events == 0) {
-    return Status::InvalidArgument("batch_events must be >= 1");
-  }
-  if (options_.checkpoint_every > 0 && options_.checkpoint_path.empty()) {
-    return Status::InvalidArgument("checkpoint_every requires checkpoint_path");
-  }
   const size_t hash_shards =
       options_.total_shards == 0 ? shards : options_.total_shards;
   const size_t shard_offset = options_.shard_offset;
-  if (shard_offset + shards > hash_shards) {
-    return Status::InvalidArgument(
-        "shard range [" + std::to_string(shard_offset) + ", " +
-        std::to_string(shard_offset + shards) + ") exceeds total_shards " +
-        std::to_string(hash_shards));
-  }
   RunTelemetry* const telem =
       kTelemetryCompiled ? options_.telemetry : nullptr;
   if (telem != nullptr && telem->shards() < shards) {

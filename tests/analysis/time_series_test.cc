@@ -11,7 +11,6 @@ TEST(TimeSeriesTest, EmptySeries) {
   TimeSeries series("x");
   EXPECT_TRUE(series.empty());
   EXPECT_EQ(series.name(), "x");
-  EXPECT_EQ(series.ValueStats().count(), 0u);
 }
 
 TEST(TimeSeriesTest, UnorderedSamplesSorted) {
@@ -26,17 +25,6 @@ TEST(TimeSeriesTest, UnorderedSamplesSorted) {
   EXPECT_DOUBLE_EQ(points[2].value, 3.0);
   EXPECT_EQ(series.start().millis(), 10);
   EXPECT_EQ(series.end().millis(), 30);
-}
-
-TEST(TimeSeriesTest, ValueStats) {
-  TimeSeries series;
-  for (int i = 1; i <= 4; ++i) {
-    series.Add(Timestamp::FromMillis(i), static_cast<double>(i));
-  }
-  const RunningStats stats = series.ValueStats();
-  EXPECT_EQ(stats.count(), 4u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(stats.max(), 4.0);
 }
 
 TEST(TimeSeriesTest, ResampleMeanAveragesBins) {
@@ -54,24 +42,12 @@ TEST(TimeSeriesTest, ResampleMeanAveragesBins) {
   EXPECT_DOUBLE_EQ(bins[2], -1.0);  // fill
 }
 
-TEST(TimeSeriesTest, ResampleSumAddsBins) {
-  TimeSeries series;
-  series.Add(Timestamp::FromMillis(100), 1.0);
-  series.Add(Timestamp::FromMillis(200), 1.0);
-  series.Add(Timestamp::FromMillis(1200), 1.0);
-  const auto bins = series.ResampleSum(
-      Timestamp(), Timestamp::FromSeconds(2.0), Duration::FromSeconds(1.0));
-  ASSERT_EQ(bins.size(), 2u);
-  EXPECT_DOUBLE_EQ(bins[0], 2.0);
-  EXPECT_DOUBLE_EQ(bins[1], 1.0);
-}
-
 TEST(TimeSeriesTest, ResampleExcludesOutOfRange) {
   TimeSeries series;
   series.Add(Timestamp::FromMillis(-500), 100.0);
   series.Add(Timestamp::FromMillis(500), 1.0);
   series.Add(Timestamp::FromMillis(5000), 100.0);
-  const auto bins = series.ResampleSum(
+  const auto bins = series.ResampleMean(
       Timestamp(), Timestamp::FromSeconds(1.0), Duration::FromSeconds(1.0));
   ASSERT_EQ(bins.size(), 1u);
   EXPECT_DOUBLE_EQ(bins[0], 1.0);

@@ -103,5 +103,39 @@ TEST(FlagsTest, NegativeNumbersAsValues) {
   EXPECT_EQ(flags->GetInt("offset", 0).value(), -5);
 }
 
+TEST(ParseHostPortTest, SplitsHostAndPort) {
+  auto endpoint = ParseHostPort("127.0.0.1:9009", "tcp");
+  ASSERT_TRUE(endpoint.ok()) << endpoint.status().ToString();
+  EXPECT_EQ(endpoint->host, "127.0.0.1");
+  EXPECT_EQ(endpoint->port, 9009);
+  endpoint = ParseHostPort("localhost:65535", "tcp");
+  ASSERT_TRUE(endpoint.ok());
+  EXPECT_EQ(endpoint->port, 65535);
+}
+
+TEST(ParseHostPortTest, RejectsMalformedSpecsNamingTheFlag) {
+  for (const char* spec : {"localhost", "a:1:2", "", ":9009"}) {
+    auto endpoint = ParseHostPort(spec, "tcp");
+    ASSERT_FALSE(endpoint.ok()) << spec;
+    EXPECT_EQ(endpoint.status().ToString(),
+              "InvalidArgument: --tcp expects HOST:PORT");
+  }
+  for (const char* spec : {"h:", "h:x", "h:-1", "h:65536", "h:0"}) {
+    auto endpoint = ParseHostPort(spec, "coordinator");
+    ASSERT_FALSE(endpoint.ok()) << spec;
+    EXPECT_EQ(endpoint.status().ToString(),
+              "InvalidArgument: bad port in --coordinator");
+  }
+}
+
+TEST(ParseHostPortTest, PortZeroOnlyWhereAllowed) {
+  EXPECT_FALSE(ParseHostPort("127.0.0.1:0", "tcp").ok());
+  auto listen = ParseHostPort("127.0.0.1:0", "listen",
+                              /*allow_port_zero=*/true);
+  ASSERT_TRUE(listen.ok());
+  EXPECT_EQ(listen->host, "127.0.0.1");
+  EXPECT_EQ(listen->port, 0);
+}
+
 }  // namespace
 }  // namespace graphtides

@@ -155,30 +155,5 @@ TEST(ConfidenceIntervalTest, WiderAtHigherLevel) {
   EXPECT_GT(ci99.upper - ci99.lower, ci95.upper - ci95.lower);
 }
 
-TEST(HistogramTest, CountsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(0.5);
-  h.Add(9.5);
-  h.Add(-1.0);   // clamps to first bucket
-  h.Add(100.0);  // clamps to last bucket
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.counts()[0], 2u);
-  EXPECT_EQ(h.counts()[9], 2u);
-}
-
-TEST(HistogramTest, BucketBounds) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.BucketLow(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.BucketHigh(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.BucketLow(4), 8.0);
-}
-
-TEST(HistogramTest, ApproxPercentileReasonable) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 1000; ++i) h.Add(static_cast<double>(i % 100));
-  EXPECT_NEAR(h.ApproxPercentile(0.5), 50.0, 2.0);
-  EXPECT_NEAR(h.ApproxPercentile(0.99), 99.0, 2.0);
-}
-
 }  // namespace
 }  // namespace graphtides

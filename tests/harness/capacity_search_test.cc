@@ -304,7 +304,7 @@ TEST(CapacityProbeTest, AutoSignalPrefersMarkersWhenMatched) {
 // TSan target (the CI race job's -R filter matches "Capacity"): the probe
 // thread reads LatencySnapshot / MergedStageHistograms / TotalDelivered
 // while lane threads record — exactly the concurrent-snapshot-reader path
-// the capacity controller runs in gt_replay.
+// CapacityController runs on its own thread.
 TEST(CapacityTsanTest, ConcurrentHubWritersAndProbeReader) {
   RunTelemetryOptions topt;
   topt.shards = 2;

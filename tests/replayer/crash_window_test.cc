@@ -16,20 +16,18 @@
 // fixture name deliberately avoids the TSan CI job's suite filter; fork
 // in an instrumented multi-threaded parent is out of scope there.
 #include <gtest/gtest.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/fault_plan.h"
 #include "replayer/checkpoint.h"
 #include "replayer/event_sink.h"
+#include "replayer/lane_outputs.h"
 #include "replayer/sharded_replayer.h"
 #include "stream/event.h"
 #include "stream/stream_file.h"
@@ -71,27 +69,16 @@ class CrashWindowTest : public ::testing::Test {
                        std::istreambuf_iterator<char>());
   }
 
-  std::string ShardPath(const std::string& prefix, size_t shards,
-                        size_t s) const {
-    return shards == 1 ? prefix : prefix + ".shard" + std::to_string(s);
-  }
-
   /// Runs one replay over per-shard PipeSink files, in this process.
   /// Returns the replay status.
   Status RunReplay(const std::string& out_prefix, size_t shards,
                    const std::string& checkpoint_path,
                    const ReplayCheckpoint* resume) {
-    std::vector<std::FILE*> files;
-    std::vector<std::unique_ptr<PipeSink>> sinks;
-    std::vector<EventSink*> sink_ptrs;
+    std::vector<std::string> paths;
     for (size_t s = 0; s < shards; ++s) {
-      std::FILE* f = std::fopen(ShardPath(out_prefix, shards, s).c_str(),
-                                resume != nullptr ? "ab" : "wb");
-      if (f == nullptr) return Status::IoError("open " + out_prefix);
-      files.push_back(f);
-      sinks.push_back(std::make_unique<PipeSink>(f));
-      sink_ptrs.push_back(sinks.back().get());
+      paths.push_back(LaneOutputPath(out_prefix, s, shards));
     }
+    GT_ASSIGN_OR_RETURN(LaneOutputs outputs, OpenLaneOutputs(paths, resume));
     ShardedReplayerOptions options;
     options.shards = shards;
     options.total_rate_eps = 1e6 * static_cast<double>(shards);
@@ -102,10 +89,8 @@ class CrashWindowTest : public ::testing::Test {
       options.record_sink_bytes = true;
     }
     ShardedReplayer replayer(options);
-    const Status status =
-        replayer.ReplayFile(stream_path_, sink_ptrs, resume).status();
-    for (std::FILE* f : files) std::fclose(f);
-    return status;
+    return replayer.ReplayFile(stream_path_, outputs.sinks(), resume)
+        .status();
   }
 
   /// Fork a child that arms `fault_spec` and runs the replay; it must die
@@ -130,35 +115,23 @@ class CrashWindowTest : public ::testing::Test {
     EXPECT_EQ(WTERMSIG(wstatus), SIGKILL);
   }
 
-  /// Load newest good generation, truncate outputs to the checkpointed
-  /// byte offsets, resume in-process, and require byte equality with the
-  /// golden run for every lane.
+  /// Load newest good generation, resume in-process (which truncates the
+  /// outputs to the checkpointed byte offsets), and require byte equality
+  /// with the golden run for every lane. The crash may have delivered past
+  /// the checkpoint (and lost tail bytes to the stdio buffer): each file is
+  /// only guaranteed to hold at least the checkpointed prefix.
   void ResumeAndVerify(const std::string& out_prefix, size_t shards,
                        const std::string& checkpoint_path,
                        const std::string& golden_prefix) {
     auto loaded = CheckpointStore::LoadLatestGood(checkpoint_path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     ASSERT_EQ(loaded->checkpoint.sink_bytes.size(), shards);
+    const Status resumed =
+        RunReplay(out_prefix, shards, checkpoint_path, &loaded->checkpoint);
+    ASSERT_TRUE(resumed.ok()) << resumed.ToString();
     for (size_t s = 0; s < shards; ++s) {
-      const std::string path = ShardPath(out_prefix, shards, s);
-      struct ::stat file_stat {};
-      ASSERT_EQ(::stat(path.c_str(), &file_stat), 0);
-      // The crash may have delivered past the checkpoint (and lost tail
-      // bytes to the stdio buffer): the file is only guaranteed to hold at
-      // least the checkpointed prefix.
-      ASSERT_GE(static_cast<uint64_t>(file_stat.st_size),
-                loaded->checkpoint.sink_bytes[s]);
-      ASSERT_EQ(::truncate(path.c_str(),
-                           static_cast<off_t>(
-                               loaded->checkpoint.sink_bytes[s])),
-                0);
-    }
-    ASSERT_TRUE(RunReplay(out_prefix, shards, checkpoint_path,
-                          &loaded->checkpoint)
-                    .ok());
-    for (size_t s = 0; s < shards; ++s) {
-      EXPECT_EQ(ReadAll(ShardPath(out_prefix, shards, s)),
-                ReadAll(ShardPath(golden_prefix, shards, s)))
+      EXPECT_EQ(ReadAll(LaneOutputPath(out_prefix, s, shards)),
+                ReadAll(LaneOutputPath(golden_prefix, s, shards)))
           << "lane " << s;
     }
   }

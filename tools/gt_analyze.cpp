@@ -47,6 +47,7 @@
 #include "analysis/time_series.h"
 #include "common/flags.h"
 #include "common/parallel.h"
+#include "common/stats.h"
 #include "common/string_util.h"
 #include "graph/csr.h"
 #include "graph/graph.h"

@@ -75,6 +75,7 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "replayer/lane_outputs.h"
 
 using namespace graphtides;
 
@@ -249,7 +250,7 @@ Result<FleetOutcome> RunFleetTrial(const FleetParams& p,
   // Scrub stale outputs and per-range checkpoint generations; the range
   // split mirrors the coordinator's contiguous deal exactly.
   for (size_t s = 0; s < p.shards; ++s) {
-    ::unlink((prefix + ".shard" + std::to_string(s)).c_str());
+    ::unlink(ShardOutputPath(prefix, s).c_str());
   }
   const size_t nranges = std::min(p.workers, p.shards);
   const size_t rbase = p.shards / nranges;
@@ -540,9 +541,6 @@ int main(int argc, char** argv) {
   if (!entries.ok()) return Fail(entries.status());
   if (*entries == 0) return Fail(Status::InvalidArgument("empty stream"));
 
-  auto shard_path = [&](const std::string& prefix, size_t s) {
-    return shards == 1 ? prefix : prefix + ".shard" + std::to_string(s);
-  };
   auto replay_args = [&](const std::string& out_prefix,
                          const std::string& checkpoint,
                          bool resume) {
@@ -573,7 +571,7 @@ int main(int argc, char** argv) {
   }
   std::vector<std::string> golden_bytes(shards);
   for (size_t s = 0; s < shards; ++s) {
-    auto data = ReadWholeFile(shard_path(golden_prefix, s));
+    auto data = ReadWholeFile(LaneOutputPath(golden_prefix, s, shards));
     if (!data.ok()) return Fail(data.status());
     golden_bytes[s] = std::move(*data);
   }
@@ -720,7 +718,7 @@ int main(int argc, char** argv) {
     }
     if (converged) {
       for (size_t s = 0; s < shards; ++s) {
-        auto data = ReadWholeFile(shard_path(prefix, s));
+        auto data = ReadWholeFile(LaneOutputPath(prefix, s, shards));
         if (!data.ok()) return Fail(data.status());
         const size_t diff = FirstDiff(golden_bytes[s], *data);
         if (diff != std::string::npos) {

@@ -134,17 +134,12 @@ int main(int argc, char** argv) {
   }
 
   CoordinatorOptions options;
-  const std::string listen = flags.GetString("listen", "127.0.0.1:0");
-  const auto parts = SplitString(listen, ':');
-  if (parts.size() != 2) {
-    return Fail(Status::InvalidArgument("--listen expects HOST:PORT"));
-  }
-  auto port = ParseUint64(parts[1]);
-  if (!port.ok() || *port > 65535) {
-    return Fail(Status::InvalidArgument("bad port in --listen"));
-  }
-  options.host = std::string(parts[0]);
-  options.port = static_cast<uint16_t>(*port);
+  // Port 0 asks the OS for an ephemeral port (see --port-file).
+  auto listen = ParseHostPort(flags.GetString("listen", "127.0.0.1:0"),
+                              "listen", /*allow_port_zero=*/true);
+  if (!listen.ok()) return Fail(listen.status());
+  options.host = listen->host;
+  options.port = listen->port;
   options.stream = flags.GetString("stream", "");
   if (!options.stream.empty()) {
     // Workers open the stream themselves and auto-detect the encoding;

@@ -22,13 +22,15 @@
 // Flags:
 //   --in FILE              stream file (required; CSV or gt-stream-v2,
 //                          auto-detected by magic)
-//   --wire-format F        csv (default) | v2 — preferred sink wire format,
-//                          negotiated per sink: pipe/TCP transports carry
-//                          sealed gt-stream-v2 blocks, decorated chains
-//                          (--chaos-*/--retry-*) decline and stay on CSV.
-//                          Incompatible with --resume-from and with
-//                          checkpointed --out runs (a resume truncates sink
-//                          files and would re-emit the v2 preamble).
+//   --wire-format F        csv (default) | v2 — sink wire format: pipe,
+//                          file and TCP transports carry sealed
+//                          gt-stream-v2 blocks. Rejected together with
+//                          decorated sinks (--chaos-*, --retry-*,
+//                          --deliver-timeout-ms, --on-failure, fault-plan
+//                          fail= points), which carry only CSV, with
+//                          --resume-from and with checkpointed --out runs
+//                          (a resume truncates sink files and would
+//                          re-emit the v2 preamble).
 //   --rate R               base emission rate in events/s (default 1000);
 //                          with --shards N this is the TOTAL rate, split
 //                          evenly across shard lanes
@@ -103,12 +105,12 @@
 //
 // Closed-loop capacity search (DESIGN.md §16): instead of replaying at a
 // fixed --rate, discover the highest rate the downstream sustains under a
-// latency SLO. A controller thread drives the CapacitySearch decision
-// engine (geometric bracketing, then bisection refinement) against
-// windowed deltas of the live telemetry hub, retargeting the emitter lanes
-// in place — RateController::Retarget re-anchors the pacing schedule, so a
-// rate change never produces a catch-up burst. When the search concludes
-// it stops the replay; that stop is the success path of the run.
+// latency SLO. A CapacityController (harness/capacity/) runs the search
+// (geometric bracketing, then bisection refinement) against windowed
+// deltas of the live telemetry hub, retargeting the emitter lanes in place
+// — RateController::Retarget re-anchors the pacing schedule, so a rate
+// change never produces a catch-up burst. When the search concludes it
+// stops the replay; that stop is the success path of the run.
 //   --find-capacity        enable the search (single and sharded lanes)
 //   --slo-p99-ms X         the SLO: a window violates when its latency p99
 //                          exceeds X ms (default 100)
@@ -138,15 +140,10 @@
 //   --heartbeat-ms M       heartbeat interval (default 200)
 //   --epoch-wait-ms M      partition rule: quiesce when an epoch release
 //                          does not arrive within M ms (default 10000)
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -155,15 +152,15 @@
 #include "common/string_util.h"
 #include "distributed/worker.h"
 #include "faults/chaos_sink.h"
-#include "harness/capacity/capacity_search.h"
-#include "harness/capacity/frontier.h"
-#include "harness/capacity/window_probe.h"
+#include "harness/capacity/capacity_controller.h"
 #include "harness/log_record.h"
 #include "harness/report.h"
 #include "harness/run_watchdog.h"
 #include "harness/telemetry/run_telemetry.h"
 #include "harness/telemetry/snapshotter.h"
 #include "replayer/checkpoint.h"
+#include "replayer/lane_outputs.h"
+#include "replayer/replay_config.h"
 #include "replayer/resilient_sink.h"
 #include "replayer/sharded_replayer.h"
 #include "replayer/tcp.h"
@@ -202,15 +199,12 @@ Status ConfigureFaultPlan(const Flags& flags) {
 int RunWorkerMode(const Flags& flags) {
   if (Status st = ConfigureFaultPlan(flags); !st.ok()) return Fail(st);
   const std::string spec = flags.GetString("coordinator", "");
-  const auto parts = SplitString(spec, ':');
-  if (parts.size() != 2) {
+  if (spec.empty()) {
     return Fail(
         Status::InvalidArgument("--worker requires --coordinator HOST:PORT"));
   }
-  auto port = ParseUint64(parts[1]);
-  if (!port.ok() || *port == 0 || *port > 65535) {
-    return Fail(Status::InvalidArgument("bad port in --coordinator"));
-  }
+  auto coordinator = ParseHostPort(spec, "coordinator");
+  if (!coordinator.ok()) return Fail(coordinator.status());
   auto connect_timeout_ms = flags.GetInt("connect-timeout-ms", 2000);
   auto dial_attempts = flags.GetInt("dial-attempts", 15);
   auto heartbeat_ms = flags.GetInt("heartbeat-ms", 200);
@@ -224,8 +218,8 @@ int RunWorkerMode(const Flags& flags) {
   }
 
   ReplayWorkerOptions options;
-  options.coordinator_host = std::string(parts[0]);
-  options.coordinator_port = static_cast<uint16_t>(*port);
+  options.coordinator_host = coordinator->host;
+  options.coordinator_port = coordinator->port;
   options.worker_id = flags.GetString("worker-id", "");
   options.connect_timeout_ms = static_cast<int>(*connect_timeout_ms);
   options.dial_attempts = static_cast<int>(*dial_attempts);
@@ -305,16 +299,8 @@ int main(int argc, char** argv) {
   if (in.empty()) return Fail(Status::InvalidArgument("--in is required"));
   auto rate = flags.GetDouble("rate", 1000.0);
   if (!rate.ok()) return Fail(rate.status());
-  if (*rate <= 0.0) {
-    return Fail(Status::InvalidArgument("--rate must be positive"));
-  }
-
   auto shards_flag = flags.GetInt("shards", 1);
   if (!shards_flag.ok()) return Fail(shards_flag.status());
-  if (*shards_flag < 1) {
-    return Fail(Status::InvalidArgument("--shards must be >= 1"));
-  }
-  const size_t shards = static_cast<size_t>(*shards_flag);
 
   const std::string wire_name = flags.GetString("wire-format", "csv");
   if (wire_name != "csv" && wire_name != "v2") {
@@ -349,18 +335,9 @@ int main(int argc, char** argv) {
         connect_timeout_ms.status(), connect_attempts.status()}) {
     if (!st.ok()) return Fail(st);
   }
-  if (*checkpoint_generations < 1) {
-    return Fail(
-        Status::InvalidArgument("--checkpoint-generations must be >= 1"));
-  }
-  if (*chaos_disconnect > 0.0 && flags.GetString("tcp", "").empty()) {
-    return Fail(Status::InvalidArgument(
-        "--chaos-disconnect requires --tcp: only a TCP sink can be "
-        "disconnected"));
-  }
 
   // Closed-loop capacity search flags. The controller itself is built
-  // later, once the telemetry hub and emitter lanes exist.
+  // later, once the telemetry hub exists.
   const bool find_capacity = flags.GetBool("find-capacity");
   auto slo_p99_ms = flags.GetDouble("slo-p99-ms", 100.0);
   auto capacity_start = flags.GetDouble("capacity-start-rate", *rate);
@@ -429,7 +406,9 @@ int main(int argc, char** argv) {
 
   CancellationToken cancel;
   ShardedReplayerOptions options;
-  options.shards = shards;
+  // Negative counts become 0, which the validator rejects by name.
+  options.shards = static_cast<size_t>(std::max<int64_t>(*shards_flag, 0));
+  const size_t shards = options.shards;
   options.total_rate_eps = *rate;
   options.wire_format = v2_wire ? WireFormat::kV2 : WireFormat::kCsv;
   options.honor_control_events = !flags.GetBool("ignore-controls");
@@ -437,28 +416,36 @@ int main(int argc, char** argv) {
   options.checkpoint_path = flags.GetString("checkpoint-file", "");
   options.checkpoint_every = static_cast<uint64_t>(*checkpoint_every);
   options.checkpoint_generations =
-      static_cast<size_t>(*checkpoint_generations);
+      static_cast<size_t>(std::max<int64_t>(*checkpoint_generations, 0));
   options.stop_after_events = static_cast<uint64_t>(*stop_after);
+  // File-backed output is the byte-exactness contract: checkpoints flush
+  // the sinks and record per-shard byte offsets.
+  const std::string out_prefix = flags.GetString("out", "");
+  options.record_sink_bytes = !out_prefix.empty();
+
+  const std::string tcp_spec = flags.GetString("tcp", "");
+  HostPort tcp_endpoint;
+  if (!tcp_spec.empty()) {
+    auto parsed = ParseHostPort(tcp_spec, "tcp");
+    if (!parsed.ok()) return Fail(parsed.status());
+    tcp_endpoint = *parsed;
+  }
+  const std::string resume_from = flags.GetString("resume-from", "");
+  ReplaySinkPlan sink_plan;
+  sink_plan.tcp = !tcp_spec.empty();
+  sink_plan.files = !out_prefix.empty();
+  sink_plan.decorated = chaos_enabled || resilience_enabled;
+  sink_plan.chaos_disconnect = *chaos_disconnect > 0.0;
+  sink_plan.resume = !resume_from.empty();
+  if (Status st = ValidateReplayConfig(options, sink_plan); !st.ok()) {
+    return Fail(st);
+  }
 
   // Resume: load the newest good checkpoint generation BEFORE the sinks
   // are built — file-backed output must be truncated to the checkpointed
   // byte offsets before it reopens for append.
   std::optional<ReplayCheckpoint> resume;
   size_t resume_fallbacks = 0;
-  const std::string resume_from = flags.GetString("resume-from", "");
-  if (v2_wire && !resume_from.empty()) {
-    // A resume truncates sink files to the checkpointed offset and a fresh
-    // sink would re-emit the v2 preamble mid-file; CSV stays the golden
-    // resumable wire format.
-    return Fail(Status::InvalidArgument(
-        "--wire-format v2 cannot be combined with --resume-from; "
-        "resume runs must use the CSV wire format"));
-  }
-  if (v2_wire && flags.Has("out") && *checkpoint_every > 0) {
-    return Fail(Status::InvalidArgument(
-        "--wire-format v2 cannot be combined with checkpointed --out runs "
-        "(the checkpoint's sink byte offsets are only resumable over CSV)"));
-  }
   if (!resume_from.empty()) {
     auto loaded = CheckpointStore::LoadLatestGood(resume_from);
     if (!loaded.ok()) return Fail(loaded.status());
@@ -482,42 +469,27 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(resume->events_delivered));
   }
 
+  // --out PREFIX: per-shard output files, the deterministic alternative to
+  // interleaved stdout — required for byte-exact kill–resume comparison.
+  std::optional<LaneOutputs> out_files;
+  if (!out_prefix.empty()) {
+    std::vector<std::string> paths;
+    for (size_t s = 0; s < shards; ++s) {
+      paths.push_back(LaneOutputPath(out_prefix, s, shards));
+    }
+    auto opened = OpenLaneOutputs(paths, resume ? &*resume : nullptr);
+    if (!opened.ok()) return Fail(opened.status());
+    out_files.emplace(std::move(*opened));
+  }
+
   // Sink chain, one per shard: transport -> [ChaosSink] -> [ResilientSink].
   // With --shards 1 this degenerates to the classic single chain; with
-  // N > 1, each lane gets its own transport (own TCP connection, or a
-  // PipeSink sharing stdout — serialized batches keep lines atomic) and
-  // its own chaos schedule (seed + shard) and retry state.
-  const std::string tcp_spec = flags.GetString("tcp", "");
-  std::string tcp_host;
-  uint16_t tcp_port = 0;
-  if (!tcp_spec.empty()) {
-    const auto parts = SplitString(tcp_spec, ':');
-    if (parts.size() != 2) {
-      return Fail(Status::InvalidArgument("--tcp expects HOST:PORT"));
-    }
-    auto port = ParseUint64(parts[1]);
-    if (!port.ok() || *port > 65535) {
-      return Fail(Status::InvalidArgument("bad port in --tcp"));
-    }
-    tcp_host = std::string(parts[0]);
-    tcp_port = static_cast<uint16_t>(*port);
-  }
-
-  // --out PREFIX: per-shard output files. The deterministic alternative to
-  // interleaved stdout — required for byte-exact kill–resume comparison.
-  const std::string out_prefix = flags.GetString("out", "");
-  if (!out_prefix.empty() && !tcp_spec.empty()) {
-    return Fail(
-        Status::InvalidArgument("--out and --tcp are mutually exclusive"));
-  }
-  auto out_path = [&](size_t s) {
-    return shards == 1 ? out_prefix
-                       : out_prefix + ".shard" + std::to_string(s);
-  };
-  std::vector<std::FILE*> out_files;
-
+  // N > 1, each lane gets its own transport (own TCP connection, own
+  // --out file, or a PipeSink sharing stdout — serialized batches keep
+  // lines atomic) and its own chaos schedule (seed + shard) and retry
+  // state.
   std::vector<std::unique_ptr<TcpSink>> tcp_sinks;
-  std::vector<std::unique_ptr<PipeSink>> pipe_sinks;
+  std::vector<std::unique_ptr<PipeSink>> stdout_sinks;
   std::vector<std::unique_ptr<ChaosSink>> chaos_sinks;
   std::vector<std::unique_ptr<ResilientSink>> resilient_sinks;
   std::vector<EventSink*> lane_sinks;
@@ -529,51 +501,22 @@ int main(int argc, char** argv) {
       tcp = tcp_sinks.back().get();
       tcp->set_connect_timeout_ms(static_cast<int>(*connect_timeout_ms));
       tcp->set_connect_attempts(static_cast<int>(*connect_attempts));
-      if (Status st = tcp->Connect(tcp_host, tcp_port); !st.ok()) {
+      if (Status st = tcp->Connect(tcp_endpoint.host, tcp_endpoint.port);
+          !st.ok()) {
         return Fail(st.WithContext("shard " + std::to_string(s)));
       }
       if (v2_wire) tcp->EnableV2Wire();
       sink = tcp;
-    } else if (!out_prefix.empty()) {
-      const std::string path = out_path(s);
-      if (resume.has_value()) {
-        // Kafka-style log truncation: the checkpoint's byte offset is the
-        // durable high-water mark; everything past it was delivered after
-        // the record (or half-flushed by the crash) and gets re-emitted.
-        if (resume->sink_bytes.size() != shards) {
-          return Fail(Status::InvalidArgument(
-              "resume checkpoint has no per-shard sink byte offsets "
-              "(written without --out, or shard count changed); cannot "
-              "resume into --out files"));
-        }
-        struct ::stat file_stat {};
-        if (::stat(path.c_str(), &file_stat) != 0) {
-          return Fail(Status::IoError("cannot stat " + path));
-        }
-        if (static_cast<uint64_t>(file_stat.st_size) <
-            resume->sink_bytes[s]) {
-          return Fail(Status::IoError(
-              path + " is shorter than its checkpointed offset (" +
-              std::to_string(file_stat.st_size) + " < " +
-              std::to_string(resume->sink_bytes[s]) + " bytes)"));
-        }
-        if (::truncate(path.c_str(),
-                       static_cast<off_t>(resume->sink_bytes[s])) != 0) {
-          return Fail(Status::IoError("cannot truncate " + path));
-        }
-      }
-      std::FILE* f = std::fopen(path.c_str(), resume ? "ab" : "wb");
-      if (f == nullptr) {
-        return Fail(Status::IoError("cannot open " + path));
-      }
-      out_files.push_back(f);
-      pipe_sinks.push_back(std::make_unique<PipeSink>(f));
-      if (v2_wire) pipe_sinks.back()->EnableV2Wire();
-      sink = pipe_sinks.back().get();
     } else {
-      pipe_sinks.push_back(std::make_unique<PipeSink>(stdout));
-      if (v2_wire) pipe_sinks.back()->EnableV2Wire();
-      sink = pipe_sinks.back().get();
+      PipeSink* pipe = nullptr;
+      if (out_files.has_value()) {
+        pipe = out_files->sink(s);
+      } else {
+        stdout_sinks.push_back(std::make_unique<PipeSink>(stdout));
+        pipe = stdout_sinks.back().get();
+      }
+      if (v2_wire) pipe->EnableV2Wire();
+      sink = pipe;
     }
     if (chaos_enabled) {
       ChaosOptions per_shard = chaos_options;
@@ -600,9 +543,6 @@ int main(int argc, char** argv) {
     // on resume, which only perturbs backoff timing, never delivery.)
     options.checkpoint_rng = resilient_sinks[0]->mutable_jitter_rng();
   }
-  // File-backed output is the byte-exactness contract: checkpoints flush
-  // the sinks and record per-shard byte offsets.
-  options.record_sink_bytes = !out_prefix.empty();
 
   // Live telemetry: hub + background JSONL snapshotter.
   const std::string telemetry_out = flags.GetString("telemetry-out", "");
@@ -648,21 +588,28 @@ int main(int argc, char** argv) {
     telemetry->UpdateRecoveryCounters(rec);
   }
 
-  // Decorated chains never opt in to the v2 wire — their outer sink
-  // declines negotiation and the lane stays on CSV.
-  if (v2_wire && (chaos_enabled || resilience_enabled)) {
-    std::fprintf(stderr,
-                 "gt_replay: --wire-format v2 with --chaos-*/--retry-* "
-                 "sinks: decorated sinks decline v2; output stays CSV\n");
-  }
-  // Live rate retargeting: the capacity controller publishes new offered
-  // rates here; the lanes poll it and re-anchor their pacing in place.
-  std::atomic<double> rate_target{find_capacity ? *capacity_start : *rate};
-  options.telemetry = telemetry.get();
+  // Closed-loop capacity search: the controller retargets the lanes
+  // through the rate it publishes and ends the replay once it concludes.
+  MonotonicClock capacity_clock;
+  std::optional<CapacityController> capacity;
   if (find_capacity) {
+    CapacityControllerOptions copt;
+    copt.search.slo_p99_ms = *slo_p99_ms;
+    copt.search.start_rate_eps = *capacity_start;
+    copt.search.growth = *capacity_growth;
+    copt.search.max_rate_eps = *capacity_max;
+    copt.search.resolution = *capacity_resolution;
+    copt.search.windows_per_step = static_cast<int>(*capacity_windows);
+    copt.search.confirm_violations = static_cast<int>(*capacity_confirm);
+    copt.search.max_steps = static_cast<int>(*capacity_max_steps);
+    copt.signal = capacity_signal;
+    copt.warmup = Duration::FromMillis(*capacity_warmup_ms);
+    copt.window = Duration::FromMillis(*capacity_window_ms);
+    capacity.emplace(copt, telemetry.get(), &capacity_clock);
     options.total_rate_eps = *capacity_start;
-    options.rate_target_eps = &rate_target;
+    options.rate_target_eps = capacity->rate_target();
   }
+  options.telemetry = telemetry.get();
   ShardedReplayer replayer(options);
 
   RunWatchdog watchdog([&] {
@@ -683,66 +630,12 @@ int main(int argc, char** argv) {
                  });
   }
 
-  // Capacity controller: drives the CapacitySearch decision engine against
-  // windowed deltas of the live hub, retargeting the lanes at each step.
-  // When the search concludes it cancels the replay — for a
-  // --find-capacity run that cancellation is the success path.
-  std::optional<CapacitySearch> search;
-  std::atomic<bool> replay_done{false};
-  std::atomic<bool> capacity_concluded{false};
-  std::thread capacity_thread;
-  MonotonicClock capacity_clock;
-  if (find_capacity) {
-    CapacitySearchOptions copt;
-    copt.slo_p99_ms = *slo_p99_ms;
-    copt.start_rate_eps = *capacity_start;
-    copt.growth = *capacity_growth;
-    copt.max_rate_eps = *capacity_max;
-    copt.resolution = *capacity_resolution;
-    copt.windows_per_step = static_cast<int>(*capacity_windows);
-    copt.confirm_violations = static_cast<int>(*capacity_confirm);
-    copt.max_steps = static_cast<int>(*capacity_max_steps);
-    search.emplace(copt);
-    const Duration warmup = Duration::FromMillis(*capacity_warmup_ms);
-    const Duration window = Duration::FromMillis(
-        *capacity_window_ms > 0 ? *capacity_window_ms : 500);
-    capacity_thread = std::thread([&, warmup, window] {
-      CapacityProbe probe(telemetry.get(), capacity_signal, &capacity_clock);
-      // Sleeps are sliced so a finished replay (stream exhausted) or a
-      // watchdog cancel stops the controller promptly; a false return
-      // means the run ended mid-search and the artifact stays incomplete.
-      auto settle = [&](Duration d) {
-        const Timestamp until = capacity_clock.Now() + d;
-        while (!replay_done.load(std::memory_order_acquire) &&
-               !cancel.cancelled() && capacity_clock.Now() < until) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        }
-        return !replay_done.load(std::memory_order_acquire) &&
-               !cancel.cancelled();
-      };
-      while (!search->done()) {
-        rate_target.store(search->current_rate_eps(),
-                          std::memory_order_relaxed);
-        if (!settle(warmup)) return;  // ramp transient, never measured
-        probe.BeginWindow();
-        for (bool concluded = false; !concluded;) {
-          if (!settle(window)) return;
-          // EndWindow re-baselines, so back-to-back windows partition the
-          // step exactly.
-          concluded = search->ReportWindow(probe.EndWindow());
-        }
-      }
-      capacity_concluded.store(true, std::memory_order_release);
-      cancel.RequestCancel("capacity search complete");
-    });
-  }
-
+  if (capacity.has_value()) capacity->Start(&cancel);
   if (snapshotter.has_value()) snapshotter->Start();
   Result<ShardedReplayStats> stats =
       replayer.ReplayFile(in, lane_sinks, resume ? &*resume : nullptr);
   watchdog.Disarm();
-  replay_done.store(true, std::memory_order_release);
-  if (capacity_thread.joinable()) capacity_thread.join();
+  if (capacity.has_value()) capacity->Stop();
   if (telemetry != nullptr) {
     if (resume.has_value() || fault_plan.write_faults_fired() > 0) {
       RecoveryCounters rec;
@@ -757,8 +650,7 @@ int main(int argc, char** argv) {
     snapshotter->Stop();
     if (telemetry_file != nullptr) std::fclose(telemetry_file);
   }
-  for (std::FILE* f : out_files) std::fclose(f);
-  out_files.clear();
+  out_files.reset();
   if (fault_plan.write_faults_fired() > 0) {
     std::fprintf(stderr, "gt_replay: %llu scripted write fault(s) fired\n",
                  static_cast<unsigned long long>(
@@ -767,8 +659,8 @@ int main(int argc, char** argv) {
   // A cancellation raised by the concluded capacity search is this mode's
   // normal end of run, not a failure.
   const bool capacity_stopped_replay =
-      find_capacity && !stats.ok() && stats.status().IsCancelled() &&
-      capacity_concluded.load(std::memory_order_acquire);
+      capacity.has_value() && capacity->concluded() && !stats.ok() &&
+      stats.status().IsCancelled();
   if (!stats.ok() && !capacity_stopped_replay) {
     if (stats.status().IsCancelled() && !options.checkpoint_path.empty()) {
       std::fprintf(stderr,
@@ -825,8 +717,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (find_capacity) {
-    if (!capacity_concluded.load(std::memory_order_acquire)) {
+  if (capacity.has_value()) {
+    if (!capacity->concluded()) {
       std::fprintf(stderr,
                    "gt_replay: capacity search ran out of stream before "
                    "concluding — artifact marked incomplete; use a longer "
@@ -835,7 +727,7 @@ int main(int argc, char** argv) {
     const std::string sut = !tcp_spec.empty() ? "tcp:" + tcp_spec
                             : !out_prefix.empty() ? "file"
                                                   : "stdout";
-    const FrontierArtifact artifact = FrontierFromSearch(*search, sut, in);
+    const FrontierArtifact artifact = capacity->Artifact(sut, in);
     std::fprintf(stderr, "%s", FormatFrontierTable(artifact).c_str());
     std::fprintf(stderr,
                  "gt_replay: sustainable rate %.0f ev/s (offered %.0f) "
