@@ -26,9 +26,9 @@ class CsrGraph {
 
   /// Builds a snapshot of `graph`. Vertex IDs are assigned dense indices in
   /// ascending VertexId order (deterministic across runs). `threads`
-  /// parallelizes the degree count, edge scatter, and neighbor-list sort
-  /// over vertex ranges (0 = auto, 1 = sequential); the result is
-  /// identical at every thread count.
+  /// parallelizes the walk over the graph's slots and splits both
+  /// transposes that sort the neighbor lists in two (0 = auto,
+  /// 1 = sequential); the result is identical at every thread count.
   static CsrGraph FromGraph(const Graph& graph, size_t threads = 0);
 
   size_t num_vertices() const { return ids_.size(); }

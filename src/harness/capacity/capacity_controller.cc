@@ -4,6 +4,50 @@
 
 namespace graphtides {
 
+Status ValidateCapacityOptions(const CapacityControllerOptions& options) {
+  const CapacitySearchOptions& search = options.search;
+  // Negated comparisons, so that a NaN is out of range too.
+  if (!(search.slo_p99_ms > 0.0)) {
+    return Status::InvalidArgument("--slo-p99-ms must be positive");
+  }
+  if (!(search.start_rate_eps > 0.0)) {
+    return Status::InvalidArgument("--capacity-start-rate must be positive");
+  }
+  if (!(search.max_rate_eps > 0.0)) {
+    return Status::InvalidArgument("--capacity-max-rate must be positive");
+  }
+  if (!(search.max_rate_eps >= search.start_rate_eps)) {
+    return Status::InvalidArgument(
+        "--capacity-max-rate must be >= --capacity-start-rate");
+  }
+  if (!(search.growth > 1.0)) {
+    return Status::InvalidArgument("--capacity-growth must be > 1");
+  }
+  if (!(search.resolution > 0.0)) {
+    return Status::InvalidArgument("--capacity-resolution must be positive");
+  }
+  if (options.warmup < Duration::Zero()) {
+    return Status::InvalidArgument("--capacity-warmup-ms must be >= 0");
+  }
+  if (options.window <= Duration::Zero()) {
+    return Status::InvalidArgument("--capacity-window-ms must be positive");
+  }
+  if (search.windows_per_step < 1) {
+    return Status::InvalidArgument("--capacity-windows must be >= 1");
+  }
+  if (search.confirm_violations < 1) {
+    return Status::InvalidArgument("--capacity-confirm must be >= 1");
+  }
+  if (search.confirm_violations > search.windows_per_step) {
+    return Status::InvalidArgument(
+        "--capacity-confirm must be <= --capacity-windows");
+  }
+  if (search.max_steps < 1) {
+    return Status::InvalidArgument("--capacity-max-steps must be >= 1");
+  }
+  return Status::OK();
+}
+
 CapacityController::CapacityController(
     const CapacityControllerOptions& options, const RunTelemetry* telemetry,
     const Clock* clock)

@@ -22,6 +22,7 @@
 
 #include "common/cancellation.h"
 #include "common/clock.h"
+#include "common/status.h"
 #include "harness/capacity/capacity_search.h"
 #include "harness/capacity/frontier.h"
 #include "harness/capacity/window_probe.h"
@@ -37,6 +38,12 @@ struct CapacityControllerOptions {
   /// Measurement window length (> 0).
   Duration window = Duration::FromMillis(500);
 };
+
+/// \brief OK when every value of `options` is in range, else
+/// InvalidArgument naming the gt_replay flag that sets the first value out
+/// of range. CapacitySearch and CapacityController clamp such values;
+/// gt_replay --find-capacity rejects them before it opens its input.
+Status ValidateCapacityOptions(const CapacityControllerOptions& options);
 
 class CapacityController {
  public:

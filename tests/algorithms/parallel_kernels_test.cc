@@ -1,5 +1,5 @@
 // Golden tests for the parallel compute layer: every parallelized kernel
-// must produce BIT-IDENTICAL results at threads 1, 2, and 8 — across all
+// must produce BIT-IDENTICAL results at threads 1, 2, 3 and 8 — across all
 // generator models — because chunk layouts and reduction orders derive
 // only from the input graph, never from the thread count. threads = 1
 // runs the sequential paths (for WCC the union-find reference), so these
@@ -29,7 +29,7 @@
 namespace graphtides {
 namespace {
 
-constexpr size_t kThreadCounts[] = {1, 2, 8};
+constexpr size_t kThreadCounts[] = {1, 2, 3, 8};
 
 std::unique_ptr<GeneratorModel> MakeModel(const std::string& name) {
   if (name == "social") return std::make_unique<SocialNetworkModel>();

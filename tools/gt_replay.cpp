@@ -357,12 +357,24 @@ int main(int argc, char** argv) {
         capacity_max_steps.status()}) {
     if (!st.ok()) return Fail(st);
   }
-  CapacityProbe::Signal capacity_signal = CapacityProbe::Signal::kAuto;
+  CapacityControllerOptions capacity_options;
+  capacity_options.search.slo_p99_ms = *slo_p99_ms;
+  capacity_options.search.start_rate_eps = *capacity_start;
+  capacity_options.search.growth = *capacity_growth;
+  capacity_options.search.max_rate_eps = *capacity_max;
+  capacity_options.search.resolution = *capacity_resolution;
+  capacity_options.search.windows_per_step =
+      static_cast<int>(*capacity_windows);
+  capacity_options.search.confirm_violations =
+      static_cast<int>(*capacity_confirm);
+  capacity_options.search.max_steps = static_cast<int>(*capacity_max_steps);
+  capacity_options.warmup = Duration::FromMillis(*capacity_warmup_ms);
+  capacity_options.window = Duration::FromMillis(*capacity_window_ms);
   const std::string signal_name = flags.GetString("capacity-signal", "auto");
   if (signal_name == "marker") {
-    capacity_signal = CapacityProbe::Signal::kMarker;
+    capacity_options.signal = CapacityProbe::Signal::kMarker;
   } else if (signal_name == "deliver") {
-    capacity_signal = CapacityProbe::Signal::kDeliver;
+    capacity_options.signal = CapacityProbe::Signal::kDeliver;
   } else if (signal_name != "auto") {
     return Fail(
         Status::InvalidArgument("unknown --capacity-signal: " + signal_name));
@@ -439,6 +451,11 @@ int main(int argc, char** argv) {
   sink_plan.resume = !resume_from.empty();
   if (Status st = ValidateReplayConfig(options, sink_plan); !st.ok()) {
     return Fail(st);
+  }
+  if (find_capacity) {
+    if (Status st = ValidateCapacityOptions(capacity_options); !st.ok()) {
+      return Fail(st);
+    }
   }
 
   // Resume: load the newest good checkpoint generation BEFORE the sinks
@@ -593,20 +610,8 @@ int main(int argc, char** argv) {
   MonotonicClock capacity_clock;
   std::optional<CapacityController> capacity;
   if (find_capacity) {
-    CapacityControllerOptions copt;
-    copt.search.slo_p99_ms = *slo_p99_ms;
-    copt.search.start_rate_eps = *capacity_start;
-    copt.search.growth = *capacity_growth;
-    copt.search.max_rate_eps = *capacity_max;
-    copt.search.resolution = *capacity_resolution;
-    copt.search.windows_per_step = static_cast<int>(*capacity_windows);
-    copt.search.confirm_violations = static_cast<int>(*capacity_confirm);
-    copt.search.max_steps = static_cast<int>(*capacity_max_steps);
-    copt.signal = capacity_signal;
-    copt.warmup = Duration::FromMillis(*capacity_warmup_ms);
-    copt.window = Duration::FromMillis(*capacity_window_ms);
-    capacity.emplace(copt, telemetry.get(), &capacity_clock);
-    options.total_rate_eps = *capacity_start;
+    capacity.emplace(capacity_options, telemetry.get(), &capacity_clock);
+    options.total_rate_eps = capacity_options.search.start_rate_eps;
     options.rate_target_eps = capacity->rate_target();
   }
   options.telemetry = telemetry.get();
