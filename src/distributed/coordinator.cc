@@ -13,6 +13,7 @@
 #include "distributed/backoff.h"
 #include "harness/run_watchdog.h"
 #include "harness/telemetry/snapshot.h"
+#include "replayer/replay_config.h"
 
 namespace graphtides {
 
@@ -92,16 +93,31 @@ Coordinator::~Coordinator() {
   ShutdownFleet();
 }
 
-Result<uint16_t> Coordinator::Start() {
-  if (options_.stream.empty() || options_.checkpoint_prefix.empty() ||
-      options_.out_prefix.empty()) {
+Status ValidateCoordinatorOptions(const CoordinatorOptions& options) {
+  if (options.stream.empty() || options.checkpoint_prefix.empty() ||
+      options.out_prefix.empty()) {
     return Status::InvalidArgument(
         "coordinator needs stream, checkpoint_prefix, and out_prefix");
   }
-  if (options_.total_shards == 0 || options_.workers == 0) {
+  if (options.total_shards == 0 || options.workers == 0) {
     return Status::InvalidArgument(
         "coordinator needs total_shards > 0 and workers > 0");
   }
+  // What a worker dealt the whole hash space runs with (ReplayWorker
+  // builds it from the ASSIGN frame); a narrower range differs only in its
+  // shard count, offset and share of the rate.
+  ShardedReplayerOptions replay;
+  replay.shards = options.total_shards;
+  replay.total_rate_eps = options.rate_eps;
+  replay.checkpoint_every = options.checkpoint_every;
+  replay.checkpoint_path = options.checkpoint_prefix;
+  replay.checkpoint_generations = options.checkpoint_generations;
+  replay.honor_control_events = options.honor_controls;
+  return ValidateReplayConfig(replay, {.files = true});
+}
+
+Result<uint16_t> Coordinator::Start() {
+  GT_RETURN_NOT_OK(ValidateCoordinatorOptions(options_));
   GT_ASSIGN_OR_RETURN(const uint16_t port,
                       listener_.Listen(options_.host, options_.port));
   accept_thread_ = std::thread([this] { AcceptLoop(); });
@@ -318,7 +334,6 @@ Result<FleetReport> Coordinator::RunLoop() {
     f.SetDouble("rate_eps", options_.rate_eps *
                                 static_cast<double>(r.range.width()) /
                                 static_cast<double>(options_.total_shards));
-    f.SetU64("batch_events", options_.batch_events);
     f.Set("checkpoint", r.checkpoint_path);
     f.SetU64("checkpoint_every", options_.checkpoint_every);
     f.SetU64("checkpoint_generations", options_.checkpoint_generations);

@@ -47,7 +47,6 @@ struct CoordinatorOptions {
   /// Aggregate fleet emission rate in events/second (a range is assigned
   /// its proportional share).
   double rate_eps = 10000.0;
-  uint64_t batch_events = 256;
   /// Per-range checkpoint store: `<checkpoint_prefix>.range<b>-<e>`.
   std::string checkpoint_prefix;
   uint64_t checkpoint_every = 5000;
@@ -110,6 +109,12 @@ struct FleetReport {
   std::string ToString() const;
 };
 
+/// \brief OK when `options` describe a fleet the coordinator can run: the
+/// required inputs are set, and the replay options it deals pass
+/// ValidateReplayConfig, so a bad rate or checkpoint setting is rejected
+/// before any worker dials in instead of inside every worker.
+Status ValidateCoordinatorOptions(const CoordinatorOptions& options);
+
 /// \brief The control-plane server. Start() binds and begins accepting;
 /// Run() blocks until every range drains (or Stop()/max_runtime aborts).
 class Coordinator {
@@ -120,7 +125,8 @@ class Coordinator {
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
-  /// Binds the listener and starts the accept thread; returns the port.
+  /// Checks the options (ValidateCoordinatorOptions), binds the listener
+  /// and starts the accept thread; returns the port.
   Result<uint16_t> Start();
   Result<FleetReport> Run();
   /// Thread-safe abort: Run returns Cancelled at the next tick.

@@ -33,7 +33,6 @@ struct ReplayWorker::Task {
   std::string stream;
   uint64_t total_shards = 0;
   double rate_eps = 10000.0;
-  uint64_t batch_events = 256;
   std::string checkpoint_path;
   uint64_t checkpoint_every = 0;
   uint64_t checkpoint_generations = 2;
@@ -250,7 +249,6 @@ void ReplayWorker::StartTask(const Frame& assign) {
   task->honor_controls = assign.Get("honor_controls", "1") != "0";
   if (auto v = assign.GetU64("total_shards"); v.ok()) task->total_shards = *v;
   if (auto v = assign.GetDouble("rate_eps"); v.ok()) task->rate_eps = *v;
-  if (auto v = assign.GetU64("batch_events"); v.ok()) task->batch_events = *v;
   if (auto v = assign.GetU64("checkpoint_every"); v.ok()) {
     task->checkpoint_every = *v;
   }
@@ -345,7 +343,6 @@ void ReplayWorker::RunRangeTask(Task* task) {
   options.total_shards = task->total_shards;
   options.shard_offset = task->range.begin;
   options.total_rate_eps = task->rate_eps;
-  options.batch_events = static_cast<size_t>(task->batch_events);
   options.honor_control_events = task->honor_controls;
   options.cancel = &task->cancel;
   options.checkpoint_every = task->checkpoint_every;

@@ -1,11 +1,10 @@
-// The batch-arena unit shared by the stream producers and consumers that
-// hand events between threads (§5.1 multi-threaded design): the sharded
-// replayer's reader -> lane queues, and, through BatchHandoff, the
-// generator's engine thread -> GenerateTo caller and the replayer's decode
-// thread -> reader. A batch is a vector of fixed-size records whose
-// variable-size payload bytes live in one contiguous arena string;
-// recycling batches through a return queue keeps the steady state
-// allocation-free.
+// The batch-arena unit that every stream hand-off between threads carries
+// (§5.1 multi-threaded design), and the one hand-off that carries it:
+// BatchHandoff moves the generator's engine thread -> GenerateTo caller,
+// the replayer's decode thread -> reader, and the reader -> each emitter
+// lane. A batch is a vector of fixed-size records whose variable-size
+// payload bytes live in one contiguous arena string; recycling batches
+// through a return queue keeps the steady state allocation-free.
 #ifndef GRAPHTIDES_REPLAYER_EVENT_BATCH_H_
 #define GRAPHTIDES_REPLAYER_EVENT_BATCH_H_
 
@@ -95,7 +94,10 @@ struct EventBatch {
 };
 
 /// \brief Bounded single-producer/single-consumer hand-off of a whole
-/// stream in batches of kBatchEvents, in stream order.
+/// stream in batches of at most kBatchEvents, in stream order. A batch
+/// goes over when it is full, or earlier at a Flush(): the sharded
+/// replayer flushes each lane at an epoch barrier, with the barrier's
+/// token as the batch's last record.
 ///
 /// The constructing thread allocates every batch the hand-off ever uses:
 /// kDepth queue slots plus the one the producer fills and the one the
@@ -126,19 +128,25 @@ class BatchHandoff {
     }
   }
 
-  /// Producer thread: appends one event and hands the batch over once it
-  /// is full. False once the consumer has stopped.
+  /// Producer thread: appends one event (`seq` is its sequence number, see
+  /// EventRecord) and hands the batch over once it is full. False once the
+  /// consumer has stopped.
   bool Add(EventType type, VertexId vertex, const EdgeId& edge,
-           std::string_view payload, double rate_factor, Duration pause) {
-    current_.Append(type, vertex, edge, payload, rate_factor, pause);
+           std::string_view payload, double rate_factor, Duration pause,
+           uint64_t seq = 0) {
+    current_.Append(type, vertex, edge, payload, rate_factor, pause, seq);
     return !current_.Full(kBatchEvents) || HandOver();
   }
+
+  /// Producer thread: hands over the partial batch, if any. False once the
+  /// consumer has stopped; the batch then stays with the producer.
+  bool Flush() { return current_.records.empty() || HandOver(); }
 
   /// Producer thread: hands over the partial batch and ends the stream.
   /// `status` is what the consumer reads after the last batch (OK = end of
   /// stream, an error = the entry after the last one handed over failed).
   void Close(Status status = Status::OK()) {
-    if (!current_.records.empty()) (void)HandOver();
+    (void)Flush();
     status_ = std::move(status);
     closed_.store(true, std::memory_order_release);
   }
@@ -165,7 +173,8 @@ class BatchHandoff {
     (void)recycle_.TryPush(std::move(batch));
   }
 
-  /// Consumer thread: the producer's next hand-over fails.
+  /// Consumer thread: the producer's next hand-over that finds the queue
+  /// full fails instead of waiting; batches already queued stay poppable.
   void Stop() {
     stopped_.store(true, std::memory_order_release);
     pops_.fetch_add(1, std::memory_order_release);
@@ -177,7 +186,8 @@ class BatchHandoff {
 
  private:
   /// Producer thread: queues current_ and takes a recycled batch, blocking
-  /// while the queue is full; false once the consumer has stopped.
+  /// while the queue is full; false (current_ untouched) once the consumer
+  /// has stopped.
   bool HandOver() {
     for (;;) {
       // Read before the push, so a pop or Stop() after a failed push

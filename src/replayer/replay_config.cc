@@ -12,9 +12,6 @@ Status ValidateReplayConfig(const ShardedReplayerOptions& options,
   if (options.shards == 0) {
     return Status::InvalidArgument("--shards must be >= 1");
   }
-  if (options.batch_events == 0) {
-    return Status::InvalidArgument("batch_events must be >= 1");
-  }
   if (options.checkpoint_generations == 0) {
     return Status::InvalidArgument("--checkpoint-generations must be >= 1");
   }

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <deque>
 #include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -13,7 +15,6 @@
 #include "replayer/event_batch.h"
 #include "replayer/rate_controller.h"
 #include "replayer/replay_config.h"
-#include "replayer/spsc_queue.h"
 #include "stream/block_reader.h"
 #include "stream/v2_format.h"
 #include "stream/v2_reader.h"
@@ -32,18 +33,13 @@ uint64_t MixBits(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// Lane batches are the shared batch-arena unit (replayer/event_batch.h),
-// so the generator's engine -> caller hand-off and the sharded reader
-// recycle the same structure.
-using LaneRecord = EventRecord;
-using LaneBatch = EventBatch;
-
-/// Broadcast token: every live lane receives one copy and meets the others
-/// at the epoch barrier before anyone emits past it.
+/// What the completion of one epoch barrier does. The reader posts it to
+/// the EpochBarrier and hands every lane a token for it: a marker or
+/// control record, the last of its batch. Every live lane meets the others
+/// there before anyone emits past it.
 struct BarrierCmd {
   enum class Kind : uint8_t { kMarker, kControl, kCheckpoint };
   Kind kind = Kind::kMarker;
-  uint64_t epoch = 0;
   /// Global epoch ordinal for marker/control barriers: 1-based count of
   /// markers + honored controls, identical on every process replaying the
   /// stream (and across resumes) — the id the distributed epoch_hook
@@ -64,32 +60,31 @@ struct BarrierCmd {
   double factor_at = 1.0;
 };
 
-enum class ItemKind : uint8_t { kBatch, kBarrier, kEnd };
-
-struct LaneItem {
-  ItemKind kind = ItemKind::kEnd;
-  LaneBatch batch;
-  BarrierCmd barrier;
-};
-
 /// \brief Barrier with a per-phase completion run by the last arriver while
 /// the others are parked — the quiescent point where markers are recorded
-/// and checkpoints written. A failing lane Drop()s out of every future
-/// phase so the healthy lanes never wait for it. Contended only at
-/// marker/control/checkpoint epochs, never on the batch hot path.
+/// and checkpoints written. Each phase's command is posted by the reader
+/// before any lane can meet its token, and phases complete in posting
+/// order. A failing lane Drop()s out of every future phase so the healthy
+/// lanes never wait for it. Contended only at marker/control/checkpoint
+/// epochs, never on the batch hot path.
 class EpochBarrier {
  public:
   explicit EpochBarrier(size_t parties) : parties_(parties) {}
 
-  void ArriveAndWait(const std::function<void()>& completion) {
+  /// Reader thread: queues the command of the next phase.
+  void Post(BarrierCmd cmd) {
+    std::lock_guard<std::mutex> lock(mu_);
+    posted_.push_back(std::move(cmd));
+  }
+
+  /// The last arriver runs `complete` on the phase's command.
+  void ArriveAndWait(const std::function<void(const BarrierCmd&)>& complete) {
     std::unique_lock<std::mutex> lock(mu_);
     const uint64_t phase = phase_;
     ++arrived_;
     if (arrived_ >= parties_) {
-      if (completion) completion();
-      arrived_ = 0;
-      ++phase_;
-      cv_.notify_all();
+      complete(posted_.front());
+      Advance();
       return;
     }
     cv_.wait(lock, [&] { return phase_ != phase; });
@@ -104,39 +99,42 @@ class EpochBarrier {
   void Drop() {
     std::lock_guard<std::mutex> lock(mu_);
     if (parties_ > 0) --parties_;
-    if (parties_ > 0 && arrived_ >= parties_) {
-      arrived_ = 0;
-      ++phase_;
-      cv_.notify_all();
-    }
+    if (parties_ > 0 && arrived_ >= parties_) Advance();
   }
 
  private:
+  /// With mu_ held: ends the current phase and discards its command.
+  void Advance() {
+    posted_.pop_front();
+    arrived_ = 0;
+    ++phase_;
+    cv_.notify_all();
+  }
+
   std::mutex mu_;
   std::condition_variable cv_;
   size_t parties_;
   size_t arrived_ = 0;
   uint64_t phase_ = 0;
+  std::deque<BarrierCmd> posted_;
 };
 
-/// Per-lane queue capacity in items (batches + barrier tokens).
-constexpr size_t kLaneQueueItems = 1 << 8;
+/// A barrier token: the marker or control record that ends a flushed lane
+/// batch. Graph events are the only other records a lane receives.
+bool IsBarrierToken(const EventRecord& record) {
+  return !IsGraphOp(record.type);
+}
 
 struct LaneState {
-  LaneState() : queue(kLaneQueueItems), recycle(kLaneQueueItems) {}
-
-  SpscQueue<LaneItem> queue;
-  /// Lane -> reader batch return path: consumed batches come back with
-  /// their capacity intact, so the steady state recycles arenas instead of
-  /// allocating.
-  SpscQueue<LaneBatch> recycle;
+  /// Reader -> lane: the lane's graph events with their sequence numbers,
+  /// and a barrier token at each epoch.
+  BatchHandoff input;
   std::thread thread;
   /// Lane-local stats: events_delivered / lag / rate_series / telemetry
   /// cover only this lane (markers, controls and entries are stream-global
   /// and live in the aggregate).
   ReplayStats stats;
   Status status;
-  std::atomic<bool> failed{false};
 };
 
 /// \brief Read-stage telemetry spans: times 1-in-N pulls of a decoder.
@@ -636,25 +634,11 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
       return true;
     };
 
-    while (true) {
-      std::optional<LaneItem> popped = lane.queue.TryPop();
-      if (!popped.has_value()) {
-        std::this_thread::yield();
-        continue;
-      }
-      LaneItem item = std::move(*popped);
-      if (item.kind == ItemKind::kEnd) break;
-      if (item.kind == ItemKind::kBarrier) {
-        const BarrierCmd& cmd = item.barrier;
-        barrier.ArriveAndWait([&] { complete_barrier(cmd); });
-        // The reader broadcasts controls only when they are honored.
-        if (cmd.kind == BarrierCmd::Kind::kControl) {
-          rate.ApplyControl(cmd.control, cmd.rate_factor, cmd.pause);
-        }
-        continue;
-      }
-
-      LaneBatch batch = std::move(item.batch);
+    while (std::optional<EventBatch> batch = lane.input.Next()) {
+      // Hand-overs are never empty; a barrier token can only be last.
+      std::span<const EventRecord> records(batch->records);
+      const EventRecord last = records.back();
+      if (IsBarrierToken(last)) records = records.first(records.size() - 1);
       // Retarget at batch granularity too: a lane that lags its schedule
       // never reaches a wait point.
       poll_target();
@@ -662,14 +646,14 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
         // Zero-copy path: pace each slot, serialize the canonical line
         // into the reusable buffer, hand the sink everything serialized
         // at the next wait point or at the end of the batch.
-        for (const LaneRecord& r : batch.records) {
+        for (const EventRecord& r : records) {
           if (sampled && first) span_start = clock.Now();
           const Timestamp slot = rate.NextDeadline();
           if (!rate.Due(slot) && !wait_point(slot)) break;
           view.type = r.type;
           view.vertex = r.vertex;
           view.edge = r.edge;
-          view.payload = batch.PayloadOf(r);
+          view.payload = batch->PayloadOf(r);
           if (sampled && first) {
             const Timestamp serialize_start = clock.Now();
             telem->RecordStage(shard, ReplayStage::kThrottle,
@@ -688,14 +672,15 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
         // Decorated sinks (chaos/resilient/callback) need the per-event
         // path; one reusable Event keeps it allocation-free in steady
         // state too.
-        for (const LaneRecord& r : batch.records) {
+        for (const EventRecord& r : records) {
           if (sampled && first) span_start = clock.Now();
           const Timestamp slot = rate.NextDeadline();
           if (!rate.Due(slot) && !wait_point(slot)) break;
           scratch.type = r.type;
           scratch.vertex = r.vertex;
           scratch.edge = r.edge;
-          scratch.payload.assign(batch.arena, r.payload_offset, r.payload_len);
+          scratch.payload.assign(batch->arena, r.payload_offset,
+                                 r.payload_len);
           if (sampled && first) {
             const Timestamp deliver_start = clock.Now();
             telem->RecordStage(shard, ReplayStage::kThrottle,
@@ -716,14 +701,22 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
       // Whatever the batch left pending; after a per-event failure this
       // still accounts the events delivered before it.
       hand_off();
-      batch.Clear();
-      (void)lane.recycle.TryPush(std::move(batch));
+      lane.input.Recycle(std::move(*batch));
       if (!emit.ok()) {
         lane.status = emit.WithContext("shard " + std::to_string(shard));
-        lane.failed.store(true, std::memory_order_release);
         sink_failed.store(true, std::memory_order_release);
+        // The reader's next hand-over to this lane fails instead of
+        // waiting, and the other lanes stop waiting for it at barriers.
+        lane.input.Stop();
         barrier.Drop();
         break;
+      }
+      if (IsBarrierToken(last)) {
+        barrier.ArriveAndWait(complete_barrier);
+        // The reader broadcasts controls only when they are honored.
+        if (IsControl(last.type)) {
+          rate.ApplyControl(last.type, last.rate_factor, last.pause);
+        }
       }
     }
     if (bin_count > 0) st.rate_series.push_back({bin_start, bin_count});
@@ -739,47 +732,18 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
   }
 
   // --- Reader: pull, partition, batch. ----------------------------------
-  auto acquire_batch = [&](size_t s) -> LaneBatch {
-    if (std::optional<LaneBatch> recycled = lanes[s]->recycle.TryPop()) {
-      return std::move(*recycled);
-    }
-    LaneBatch batch;
-    batch.Reserve(options_.batch_events);
-    return batch;
-  };
-  std::vector<LaneBatch> open;
-  open.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) open.push_back(acquire_batch(s));
-
-  // Spins while the lane's queue is full (the lane is draining); false when
-  // the lane failed, so the reader never wedges on a dead consumer.
-  auto push_item = [&](size_t s, LaneItem&& item) -> bool {
-    LaneState& lane = *lanes[s];
-    while (!lane.queue.TryPush(std::move(item))) {
-      if (lane.failed.load(std::memory_order_acquire)) return false;
-      std::this_thread::yield();
-    }
-    return true;
-  };
-  auto flush_lane = [&](size_t s) {
-    if (open[s].records.empty()) return;
-    LaneItem item;
-    item.kind = ItemKind::kBatch;
-    item.batch = std::move(open[s]);
-    push_item(s, std::move(item));
-    open[s] = acquire_batch(s);
-  };
-  uint64_t epoch = 0;
-  // Open batches flush first, so the barrier token follows every graph
-  // event enqueued before it in every lane's FIFO queue.
-  auto broadcast = [&](BarrierCmd cmd) {
-    cmd.epoch = epoch++;
-    for (size_t s = 0; s < shards; ++s) flush_lane(s);
-    for (size_t s = 0; s < shards; ++s) {
-      LaneItem item;
-      item.kind = ItemKind::kBarrier;
-      item.barrier = cmd;
-      push_item(s, std::move(item));
+  // The command goes to the barrier first; each lane's token then follows
+  // every graph event handed to that lane before it, in the same flushed
+  // batch or an earlier one. A failed lane's hand-off never blocks.
+  auto broadcast = [&](const BarrierCmd& cmd) {
+    barrier.Post(cmd);
+    const EventType token = cmd.kind == BarrierCmd::Kind::kControl
+                                ? cmd.control
+                                : EventType::kMarker;
+    for (const std::unique_ptr<LaneState>& lane : lanes) {
+      (void)(lane->input.Add(token, 0, EdgeId{}, {}, cmd.rate_factor,
+                             cmd.pause) &&
+             lane->input.Flush());
     }
   };
 
@@ -827,7 +791,7 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
         cmd.rate_factor = e.rate_factor;
         cmd.pause = e.pause;
         if (e.type == EventType::kSetRate) current_factor = e.rate_factor;
-        broadcast(std::move(cmd));
+        broadcast(cmd);
       }
       continue;
     }
@@ -838,7 +802,7 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
       cmd.global_epoch = markers + controls;
       cmd.label = std::string(e.payload);
       cmd.events_before = events_enqueued;
-      broadcast(std::move(cmd));
+      broadcast(cmd);
       continue;
     }
 
@@ -847,13 +811,9 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
     // the owner of the hash slot emits it.
     const size_t g = ShardOfEvent(e.type, e.vertex, e.edge, hash_shards);
     if (g >= shard_offset && g - shard_offset < shards) {
-      const size_t s = g - shard_offset;
-      if (!lanes[s]->failed.load(std::memory_order_relaxed)) {
-        LaneBatch& batch = open[s];
-        batch.Append(e.type, e.vertex, e.edge, e.payload, e.rate_factor,
-                     e.pause, events_enqueued);
-        if (batch.Full(options_.batch_events)) flush_lane(s);
-      }
+      (void)lanes[g - shard_offset]->input.Add(e.type, e.vertex, e.edge,
+                                               e.payload, e.rate_factor,
+                                               e.pause, events_enqueued);
     }
     ++events_enqueued;
     if (options_.checkpoint_every > 0 &&
@@ -865,7 +825,7 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
       cmd.markers = markers;
       cmd.controls = controls;
       cmd.factor_at = current_factor;
-      broadcast(std::move(cmd));
+      broadcast(cmd);
     }
     if (stop_at != 0 && events_enqueued >= stop_at) {
       stopped = true;
@@ -877,12 +837,7 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
   // Drain: everything already enqueued (and counted) must reach its sink
   // before the final accounting — that is what makes the post-run
   // checkpoint exactly-once even for cancel/stop aborts.
-  for (size_t s = 0; s < shards; ++s) flush_lane(s);
-  for (size_t s = 0; s < shards; ++s) {
-    LaneItem item;
-    item.kind = ItemKind::kEnd;
-    push_item(s, std::move(item));
-  }
+  for (size_t s = 0; s < shards; ++s) lanes[s]->input.Close();
   for (size_t s = 0; s < shards; ++s) lanes[s]->thread.join();
   // A cancel that lands after the reader reached the end of the stream
   // still cancels the run: the lanes drained the rest unpaced.

@@ -1,6 +1,6 @@
 // The graph stream replayer (§4.1, §5.1): replays a stream file or an
 // in-memory stream at a uniform, tunable rate, scaled out in-process (§5.2).
-// One reader hash-partitions the stream into N per-shard SPSC lanes, each
+// One reader hash-partitions the stream into N per-shard lanes, each
 // lane paced by a deadline-based RateController (busy-waiting near
 // deadlines) and emitted by its own thread into its own sink — the
 // multi-replayer horizontal-scaling setup of §5.2 collapsed into one
@@ -17,25 +17,27 @@
 //   * marker and control events are broadcast to every lane together with
 //     a cross-shard epoch barrier: every lane finishes emitting all graph
 //     events enqueued before the marker/control, then all lanes cross it
-//     together. Marker semantics ("all events before the marker have been
+//     together. The barrier's token travels in-band, as the last record of
+//     a flushed lane batch. Marker semantics ("all events before the marker have been
 //     emitted, none after") and SET_RATE/PAUSE positions are therefore
 //     identical to a single-lane replay.
 //   * every graph event carries its global sequence number (0-based among
 //     graph events), delivered to sinks via DeliverSequenced, so per-shard
 //     captures can be merged back into total stream order.
 //
-// Hot path: for file input a decode thread runs the format's decoder (the
-// zero-copy ParseEventLineView over a BlockLineReader for CSV, the mmap'd
-// V2StreamReader for v2) and hands the entries to the reader in
-// 1024-event batches over a BatchHandoff (replayer/event_batch.h). The
+// Hot path: every hop between pipeline threads is a BatchHandoff
+// (replayer/event_batch.h) of 1024-event batches, at most 8 in flight. For
+// file input a decode thread runs the format's decoder (the zero-copy
+// ParseEventLineView over a BlockLineReader for CSV, the mmap'd
+// V2StreamReader for v2) and hands the entries to the reader over one. The
 // reader only pops views, counts, routes them and broadcasts barriers: it
-// appends payload bytes into a per-lane batch arena (batches are recycled
-// through a per-lane return queue, so steady state allocates nothing), and
-// lanes either serialize canonical CSV into a reusable buffer handed to the
-// sink once per batch (SupportsSerialized transports: pipe, TCP) or
-// materialize into one reusable Event for decorated sinks. A decode error
-// reaches the reader after every entry before it; every way out of a run
-// stops and joins the decode thread.
+// appends each graph event to its lane's hand-off, and blocks while that
+// lane's queue is full. Batches are preallocated and recycled, so steady
+// state allocates nothing. Lanes either serialize canonical CSV into a
+// reusable buffer handed to the sink once per batch (SupportsSerialized
+// transports: pipe, TCP) or materialize into one reusable Event for
+// decorated sinks. A decode error reaches the reader after every entry
+// before it; every way out of a run stops and joins the decode thread.
 //
 // Wait points: a lane hands its pending events to the sink and accounts
 // them (progress counter, achieved-rate bins, lag, telemetry) only where it
@@ -139,10 +141,6 @@ struct ShardedReplayerOptions {
   /// each lane paces at total_rate_eps / shards (SET_RATE factors apply
   /// per lane, so the aggregate scales the same way).
   double total_rate_eps = 10000.0;
-  /// Graph events per lane batch: the reader-to-lane hand-over unit, and
-  /// the delivery and accounting granularity of a lane that lags its
-  /// schedule.
-  size_t batch_events = 256;
   /// Bin width for the achieved-rate time series.
   Duration stats_bin = Duration::FromMillis(100);
   /// When false, SET_RATE / PAUSE are counted but not applied (and no

@@ -175,18 +175,35 @@ TEST(ReplayerTest, EmptyStreamFinishesCleanly) {
 }
 
 TEST(ReplayerTest, QueueSmallerThanStreamStillDeliversAll) {
-  // One-event batches overrun the lane queue many times over, forcing
-  // reader/emitter handoff pressure.
-  ShardedReplayerOptions options = AtRate(1e6);
-  options.batch_events = 1;
-  size_t delivered = 0;
-  CallbackSink sink([&](const Event&) {
-    ++delivered;
+  // 100k events overrun the lane's 8 x 1024-event hand-off a dozen times,
+  // so the reader blocks on a full lane over and over. A marker every 1,500
+  // events flushes a partial batch ending in a barrier token, so full
+  // batches, partial flushes and tokens interleave.
+  constexpr size_t kEvents = 100000;
+  constexpr size_t kMarkerEvery = 1500;
+  std::vector<Event> events;
+  for (VertexId v = 0; v < kEvents; ++v) {
+    events.push_back(Event::AddVertex(v));
+    if ((v + 1) % kMarkerEvery == 0) {
+      events.push_back(Event::Marker(std::to_string(v + 1)));
+    }
+  }
+  std::vector<VertexId> seen;
+  CallbackSink sink([&](const Event& e) {
+    seen.push_back(e.vertex);
     return Status::OK();
   });
-  auto stats = ReplayOneLane(options, VertexStream(10000), &sink);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(delivered, 10000u);
+  auto stats = ReplayOneLane(AtRate(1e6), events, &sink);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->events_delivered, kEvents);
+  ASSERT_EQ(seen.size(), kEvents);
+  for (size_t i = 0; i < seen.size(); ++i) ASSERT_EQ(seen[i], i);
+  ASSERT_EQ(stats->marker_log.size(), kEvents / kMarkerEvery);
+  for (size_t i = 0; i < stats->marker_log.size(); ++i) {
+    EXPECT_EQ(stats->marker_log[i].events_before, (i + 1) * kMarkerEvery);
+    EXPECT_EQ(stats->marker_log[i].label,
+              std::to_string((i + 1) * kMarkerEvery));
+  }
 }
 
 }  // namespace

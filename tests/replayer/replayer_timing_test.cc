@@ -90,8 +90,9 @@ TEST(ReplayerTest, CancelDrainsReadAheadUnpacedAndResumesExactly) {
   ASSERT_TRUE(ReplayOneLane(1e9, events, &golden).ok());
 
   // 20k ev/s makes the stream 10 s long; cancel after about 1 s. The lane
-  // still delivers what the reader had already handed it (up to the lane
-  // queue's read-ahead), but unpaced, so Replay returns promptly.
+  // still delivers what the reader had already handed it (its hand-off's
+  // read-ahead: up to 8 queued batches of 1024 events plus the one it is
+  // draining), but unpaced, so Replay returns promptly.
   CancellationToken cancel;
   MonotonicClock clock;
   Timestamp cancelled_at;
@@ -122,7 +123,7 @@ TEST(ReplayerTest, CancelDrainsReadAheadUnpacedAndResumesExactly) {
 }
 
 TEST(ReplayerTest, CancelWhileTheFileDecoderIsBlockedReturnsPromptly) {
-  // 200k entries is far more than the lane queue and the decode read-ahead
+  // 200k entries is far more than the lane's and the decoder's hand-offs
   // hold together, so at 20k ev/s every stage upstream of the lane is
   // blocked on a full queue when the cancel fires.
   const std::vector<Event> events = VertexStream(200000);

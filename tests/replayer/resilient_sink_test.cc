@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "faults/chaos_sink.h"
@@ -312,6 +314,15 @@ E2eOutcome RunChaoticTcpReplay() {
   ShardedReplayer replayer(replay_options);
   auto run = replayer.Replay(events, {&sink});
   EXPECT_TRUE(run.ok()) << run.status().ToString();
+  // The server counts on its own thread, and Stop() drops what it has not
+  // read yet; on a loaded host it can trail the sender by a whole
+  // connection. Give it a bounded time to count every event first.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.lines_received() < kEvents &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   server.Stop();
   server.Join();
 

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   if (!flags_or.ok()) return Fail(flags_or.status());
   const Flags& flags = *flags_or;
   const auto unknown = flags.UnknownFlags(
-      {"stream", "total-shards", "ranges", "workers", "rate", "batch",
+      {"stream", "total-shards", "ranges", "workers", "rate",
        "checkpoint-prefix", "checkpoint-every", "checkpoint-generations",
        "out", "ignore-controls", "listen", "port-file",
        "heartbeat-timeout-ms", "tick-ms", "max-runtime-ms", "send-attempts",
@@ -111,7 +111,6 @@ int main(int argc, char** argv) {
   auto ranges = flags.GetInt("ranges", 0);
   auto workers = flags.GetInt("workers", 2);
   auto rate = flags.GetDouble("rate", 10000.0);
-  auto batch = flags.GetInt("batch", 256);
   auto checkpoint_every = flags.GetInt("checkpoint-every", 5000);
   auto checkpoint_generations = flags.GetInt("checkpoint-generations", 3);
   auto heartbeat_timeout_ms = flags.GetInt("heartbeat-timeout-ms", 2000);
@@ -122,7 +121,7 @@ int main(int argc, char** argv) {
   auto telemetry_period_ms = flags.GetInt("telemetry-period-ms", 500);
   for (const Status& st :
        {total_shards.status(), ranges.status(), workers.status(),
-        rate.status(), batch.status(), checkpoint_every.status(),
+        rate.status(), checkpoint_every.status(),
         checkpoint_generations.status(), heartbeat_timeout_ms.status(),
         tick_ms.status(), max_runtime_ms.status(), send_attempts.status(),
         backoff_seed.status(), telemetry_period_ms.status()}) {
@@ -141,21 +140,10 @@ int main(int argc, char** argv) {
   options.host = listen->host;
   options.port = listen->port;
   options.stream = flags.GetString("stream", "");
-  if (!options.stream.empty()) {
-    // Workers open the stream themselves and auto-detect the encoding;
-    // sniffing here surfaces a missing/garbled file before the fleet dials
-    // in, and logs which format the fleet will replay.
-    auto format = DetectStreamFormat(options.stream);
-    if (!format.ok()) return Fail(format.status());
-    std::fprintf(stderr, "gt_coordinator: stream %s (%s format)\n",
-                 options.stream.c_str(),
-                 std::string(StreamFormatName(*format)).c_str());
-  }
   options.total_shards = static_cast<uint32_t>(*total_shards);
   options.ranges = static_cast<uint32_t>(*ranges);
   options.workers = static_cast<size_t>(*workers);
   options.rate_eps = *rate;
-  options.batch_events = static_cast<uint64_t>(*batch);
   options.checkpoint_prefix = flags.GetString("checkpoint-prefix", "");
   options.checkpoint_every = static_cast<uint64_t>(*checkpoint_every);
   options.checkpoint_generations =
@@ -169,6 +157,17 @@ int main(int argc, char** argv) {
   options.backoff_seed = static_cast<uint64_t>(*backoff_seed);
   options.telemetry_out = flags.GetString("telemetry-out", "");
   options.telemetry_every_ms = static_cast<int>(*telemetry_period_ms);
+  if (Status st = ValidateCoordinatorOptions(options); !st.ok()) {
+    return Fail(st);
+  }
+  // Workers open the stream themselves and auto-detect the encoding;
+  // sniffing here surfaces a missing/garbled file before the fleet dials
+  // in, and logs which format the fleet will replay.
+  auto format = DetectStreamFormat(options.stream);
+  if (!format.ok()) return Fail(format.status());
+  std::fprintf(stderr, "gt_coordinator: stream %s (%s format)\n",
+               options.stream.c_str(),
+               std::string(StreamFormatName(*format)).c_str());
 
   Coordinator coordinator(options);
   auto bound = coordinator.Start();
