@@ -241,14 +241,12 @@ FileReplayObservation MeasureFileReplay(const std::string& stream_path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv);
-  if (!flags_or.ok()) {
-    std::fprintf(stderr, "%s\n", flags_or.status().ToString().c_str());
-    return 1;
-  }
-  const Flags& flags = *flags_or;
-  const bool quick = flags.GetBool("quick");
-  const std::string records_dir = flags.GetString("records", "");
+  bool quick = false;
+  std::string records_dir;
+  FlagTable flags("fig3a_replayer_throughput");
+  flags.Add("quick", &quick);
+  flags.Add("records", &records_dir);
+  if (auto exit_code = flags.ParseCommandLine(argc, argv)) return *exit_code;
 
   std::printf("%s", SectionHeader(
       "Fig. 3a — Graph Stream Replayer throughput (pipe vs TCP)").c_str());

@@ -209,14 +209,12 @@ Observation Measure(const std::string& config, int repetitions, Fn&& fn) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv);
-  if (!flags_or.ok()) {
-    std::fprintf(stderr, "%s\n", flags_or.status().ToString().c_str());
-    return 1;
-  }
-  const Flags& flags = *flags_or;
-  const bool quick = flags.GetBool("quick");
-  const std::string records_dir = flags.GetString("records", "");
+  bool quick = false;
+  std::string records_dir;
+  FlagTable flags("gen_throughput");
+  flags.Add("quick", &quick);
+  flags.Add("records", &records_dir);
+  if (auto exit_code = flags.ParseCommandLine(argc, argv)) return *exit_code;
 
   const size_t rounds = quick ? 150000 : 1000000;
   const int reps = quick ? 3 : 5;

@@ -48,18 +48,11 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv);
-  if (!flags_or.ok()) {
-    std::fprintf(stderr, "table1_computations: %s\n",
-                 flags_or.status().ToString().c_str());
-    return 1;
-  }
-  auto threads_flag = flags_or->GetInt("threads", 0);
-  if (!threads_flag.ok() || *threads_flag < 0) {
-    std::fprintf(stderr, "table1_computations: --threads expects N >= 0\n");
-    return 1;
-  }
-  const size_t threads = ResolveThreads(static_cast<size_t>(*threads_flag));
+  size_t threads = 0;  // 0 = hardware concurrency
+  FlagTable flags("table1_computations");
+  flags.Add("threads", &threads);
+  if (auto exit_code = flags.ParseCommandLine(argc, argv)) return *exit_code;
+  threads = ResolveThreads(threads);
 
   std::printf("%s", SectionHeader(
       "Table 1 — example computations for stream-based graph systems").c_str());

@@ -122,18 +122,30 @@ Status FaultPlan::Configure(std::string_view spec) {
   return Status::OK();
 }
 
+Status FaultPlan::ConfigureCrashAt(std::string_view list) {
+  for (const std::string_view part : SplitString(list, ',')) {
+    const std::string_view point = TrimWhitespace(part);
+    if (point.empty()) continue;
+    GT_RETURN_NOT_OK(Configure("crash=" + std::string(point)));
+  }
+  return Status::OK();
+}
+
 Status FaultPlan::ConfigureFromEnv() {
   if (const char* plan = std::getenv("GT_FAULT_PLAN")) {
     GT_RETURN_NOT_OK(Configure(plan).WithContext("GT_FAULT_PLAN"));
   }
   if (const char* crash_at = std::getenv("GT_CRASH_AT")) {
-    for (const std::string_view part : SplitString(crash_at, ',')) {
-      if (TrimWhitespace(part).empty()) continue;
-      GT_RETURN_NOT_OK(Configure("crash=" + std::string(TrimWhitespace(part)))
-                           .WithContext("GT_CRASH_AT"));
-    }
+    GT_RETURN_NOT_OK(ConfigureCrashAt(crash_at).WithContext("GT_CRASH_AT"));
   }
   return Status::OK();
+}
+
+Status FaultPlan::ConfigureFromFlags(std::string_view fault_plan,
+                                     std::string_view crash_at) {
+  GT_RETURN_NOT_OK(ConfigureFromEnv());
+  GT_RETURN_NOT_OK(Configure(fault_plan));
+  return ConfigureCrashAt(crash_at);
 }
 
 void FaultPlan::Reset() {

@@ -89,6 +89,12 @@ class FaultPlan {
   /// entries are crash= sugar). No-op when neither is set.
   Status ConfigureFromEnv();
 
+  /// \brief Arms what a tool's command line asks for: the environment
+  /// first (how a supervisor arms a child without touching its argv), then
+  /// the `--fault-plan` spec, then the `--crash-at` list on top.
+  Status ConfigureFromFlags(std::string_view fault_plan,
+                            std::string_view crash_at);
+
   /// Disarms and clears everything (tests reset the global instance).
   void Reset();
 
@@ -156,6 +162,9 @@ class FaultPlan {
   };
 
   void HitSlow(std::string_view point);
+  /// Arms each comma-separated POINT[:N] entry of `list` as crash=
+  /// (the `--crash-at` / GT_CRASH_AT sugar); empty entries are skipped.
+  Status ConfigureCrashAt(std::string_view list);
 
   std::atomic<bool> armed_{false};
   std::vector<CrashEntry> crashes_;

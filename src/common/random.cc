@@ -82,15 +82,6 @@ double Rng::NextGaussian() {
   return r * std::cos(theta);
 }
 
-double Rng::NextExponential(double lambda) {
-  assert(lambda > 0.0);
-  double u = 0.0;
-  do {
-    u = NextDouble();
-  } while (u <= 0.0);
-  return -std::log(u) / lambda;
-}
-
 size_t Rng::NextWeighted(const std::vector<double>& weights) {
   return NextWeighted(weights.data(), weights.size());
 }

@@ -36,9 +36,6 @@ class Rng {
   /// Standard normal via Box–Muller (cached second value).
   double NextGaussian();
 
-  /// Exponential with rate lambda (> 0).
-  double NextExponential(double lambda);
-
   /// Index sampled from unnormalized non-negative `weights`.
   /// Returns weights.size() if all weights are zero.
   size_t NextWeighted(const std::vector<double>& weights);

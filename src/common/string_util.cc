@@ -1,6 +1,5 @@
 #include "common/string_util.h"
 
-#include <cctype>
 #include <charconv>
 #include <cstdlib>
 
@@ -64,22 +63,6 @@ Result<double> ParseDouble(std::string_view s) {
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-std::string JoinStrings(const std::vector<std::string>& items,
-                        std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += sep;
-    out += items[i];
-  }
-  return out;
-}
-
-std::string ToUpperAscii(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  return out;
 }
 
 }  // namespace graphtides

@@ -56,13 +56,6 @@ Result<double> ParseDouble(std::string_view s);
 /// True if `s` begins with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 
-/// Joins items with a separator.
-std::string JoinStrings(const std::vector<std::string>& items,
-                        std::string_view sep);
-
-/// Uppercases ASCII letters.
-std::string ToUpperAscii(std::string_view s);
-
 }  // namespace graphtides
 
 #endif  // GRAPHTIDES_COMMON_STRING_UTIL_H_

@@ -1,6 +1,5 @@
 #include "distributed/control_channel.h"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -8,7 +7,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "replayer/tcp.h"
@@ -16,10 +14,6 @@
 namespace graphtides {
 
 namespace {
-
-Status Errno(const std::string& what) {
-  return Status::IoError(what + ": " + std::strerror(errno));
-}
 
 /// Polls `fd` for `events` up to the deadline. OK = ready, Timeout = the
 /// deadline passed, IoError otherwise. timeout_ms <= 0 blocks.
@@ -29,7 +23,7 @@ Status PollFor(int fd, short events, int timeout_ms) {
   do {
     rc = ::poll(&pfd, 1, timeout_ms <= 0 ? -1 : timeout_ms);
   } while (rc < 0 && errno == EINTR);
-  if (rc < 0) return Errno("poll");
+  if (rc < 0) return ErrnoStatus("poll");
   if (rc == 0) {
     return Status::Timeout("control channel idle for " +
                            std::to_string(timeout_ms) + " ms");
@@ -78,7 +72,7 @@ Status ControlChannel::Send(const Frame& frame) {
                              bytes.size() - written, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Errno("control send " +
+      return ErrnoStatus("control send " +
                    std::string(FrameTypeName(frame.type)));
     }
     written += static_cast<size_t>(n);
@@ -101,7 +95,7 @@ Result<Frame> ControlChannel::Receive(int timeout_ms) {
     const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Errno("control recv");
+      return ErrnoStatus("control recv");
     }
     if (n == 0) {
       // Peer closed: mid-frame is a protocol error, between frames is a
@@ -117,37 +111,10 @@ ControlListener::~ControlListener() { Close(); }
 
 Result<uint16_t> ControlListener::Listen(const std::string& host,
                                          uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Errno("socket");
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  const std::string resolved = (host == "localhost") ? "127.0.0.1" : host;
-  if (::inet_pton(AF_INET, resolved.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument("not an IPv4 address: " + host);
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status s = Errno("bind " + resolved + ":" + std::to_string(port));
-    ::close(fd);
-    return s;
-  }
-  if (::listen(fd, 16) != 0) {
-    const Status s = Errno("listen");
-    ::close(fd);
-    return s;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    const Status s = Errno("getsockname");
-    ::close(fd);
-    return s;
-  }
-  port_ = ntohs(addr.sin_port);
-  listen_fd_.store(fd, std::memory_order_release);
+  GT_ASSIGN_OR_RETURN(const TcpListenSocket socket,
+                      ListenTcp(host, port, /*backlog=*/16));
+  port_ = socket.port;
+  listen_fd_.store(socket.fd, std::memory_order_release);
   return port_;
 }
 
@@ -161,7 +128,7 @@ Result<std::unique_ptr<ControlChannel>> ControlListener::Accept(
     if (listen_fd_.load(std::memory_order_acquire) < 0) {
       return Status::Unavailable("listener closed");
     }
-    return Errno("accept");
+    return ErrnoStatus("accept");
   }
   return ControlChannel::Adopt(conn);
 }

@@ -48,13 +48,6 @@ class InstrumentationHooks {
     }
   }
 
-  bool HasProbe(const std::string& point) const {
-    for (const auto& [name, probe] : probes_) {
-      if (name == point) return true;
-    }
-    return false;
-  }
-
  private:
   std::vector<std::pair<std::string, Probe>> probes_;
 };

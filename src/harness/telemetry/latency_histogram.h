@@ -45,10 +45,6 @@ class LatencyHistogram {
 
   void RecordNanos(int64_t nanos);
   void Record(Duration d) { RecordNanos(d.nanos()); }
-  void RecordMicros(double us) {
-    RecordNanos(static_cast<int64_t>(us * 1e3));
-  }
-  void RecordSeconds(double s) { RecordNanos(static_cast<int64_t>(s * 1e9)); }
 
   /// Folds `other` into this histogram (field-wise; lossless).
   void Merge(const LatencyHistogram& other);

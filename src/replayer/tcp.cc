@@ -18,10 +18,6 @@ namespace graphtides {
 
 namespace {
 
-Status Errno(const std::string& what) {
-  return Status::IoError(what + ": " + std::strerror(errno));
-}
-
 // MSG_NOSIGNAL: a peer reset must surface as a Status, not a SIGPIPE that
 // kills the replayer process mid-run.
 Status WriteAll(int fd, const char* data, size_t size) {
@@ -30,7 +26,7 @@ Status WriteAll(int fd, const char* data, size_t size) {
     const ssize_t n = ::send(fd, data + written, size - written, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Errno("socket write");
+      return ErrnoStatus("socket write");
     }
     written += static_cast<size_t>(n);
   }
@@ -38,6 +34,40 @@ Status WriteAll(int fd, const char* data, size_t size) {
 }
 
 }  // namespace
+
+Status ErrnoStatus(const std::string& what) {
+  return Status::IoError(what + ": " + std::strerror(errno));
+}
+
+Result<TcpListenSocket> ListenTcp(const std::string& host, uint16_t port,
+                                  int backlog) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  const std::string resolved = (host == "localhost") ? "127.0.0.1" : host;
+  if (::inet_pton(AF_INET, resolved.c_str(), &addr.sin_addr) != 1) {
+    return Status::InvalidArgument("not an IPv4 address: " + host);
+  }
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return ErrnoStatus("socket");
+  int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  socklen_t len = sizeof(addr);
+  Status failed;
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    failed = ErrnoStatus("bind " + resolved + ":" + std::to_string(port));
+  } else if (::listen(fd, backlog) != 0) {
+    failed = ErrnoStatus("listen");
+  } else if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) !=
+             0) {
+    failed = ErrnoStatus("getsockname");
+  }
+  if (!failed.ok()) {
+    ::close(fd);
+    return failed;
+  }
+  return TcpListenSocket{fd, ntohs(addr.sin_port)};
+}
 
 Result<int> DialTcp(const std::string& host, uint16_t port,
                     int connect_timeout_ms) {
@@ -50,12 +80,12 @@ Result<int> DialTcp(const std::string& host, uint16_t port,
   }
   const std::string where = resolved + ":" + std::to_string(port);
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Errno("socket");
+  if (fd < 0) return ErrnoStatus("socket");
 
   if (connect_timeout_ms <= 0) {
     if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                   sizeof(addr)) != 0) {
-      const Status s = Errno("connect " + where);
+      const Status s = ErrnoStatus("connect " + where);
       ::close(fd);
       return s;
     }
@@ -65,7 +95,7 @@ Result<int> DialTcp(const std::string& host, uint16_t port,
     if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                   sizeof(addr)) != 0) {
       if (errno != EINPROGRESS) {
-        const Status s = Errno("connect " + where);
+        const Status s = ErrnoStatus("connect " + where);
         ::close(fd);
         return s;
       }
@@ -80,7 +110,7 @@ Result<int> DialTcp(const std::string& host, uint16_t port,
                                std::to_string(connect_timeout_ms) + " ms");
       }
       if (rc < 0) {
-        const Status s = Errno("connect poll " + where);
+        const Status s = ErrnoStatus("connect poll " + where);
         ::close(fd);
         return s;
       }
@@ -243,27 +273,10 @@ TcpLineServer::~TcpLineServer() {
 
 Result<uint16_t> TcpLineServer::Start(LineFn on_line, uint16_t port) {
   on_line_ = std::move(on_line);
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return Errno("socket");
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    return Errno("bind");
-  }
-  if (::listen(listen_fd_, 8) != 0) return Errno("listen");
-
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
-      0) {
-    return Errno("getsockname");
-  }
-  port_ = ntohs(addr.sin_port);
+  GT_ASSIGN_OR_RETURN(const TcpListenSocket socket,
+                      ListenTcp("127.0.0.1", port, /*backlog=*/8));
+  listen_fd_ = socket.fd;
+  port_ = socket.port;
   thread_ = std::thread([this] { Serve(); });
   return port_;
 }

@@ -28,6 +28,21 @@ namespace graphtides {
 Result<int> DialTcp(const std::string& host, uint16_t port,
                     int connect_timeout_ms);
 
+/// \brief A listening TCP socket and the port it is bound to.
+struct TcpListenSocket {
+  int fd = -1;
+  uint16_t port = 0;
+};
+
+/// \brief Binds host:port (IPv4 dotted quad or "localhost"; port 0 asks the
+/// OS for an ephemeral port) with SO_REUSEADDR and listens with `backlog`.
+/// The fd is closed on every error.
+Result<TcpListenSocket> ListenTcp(const std::string& host, uint16_t port,
+                                  int backlog);
+
+/// IoError "`what`: strerror(errno)" for the socket call that just failed.
+Status ErrnoStatus(const std::string& what);
+
 /// \brief EventSink that writes CSV event lines over a TCP connection.
 ///
 /// Writes go through a small user-space buffer and the kernel socket

@@ -88,12 +88,6 @@ Status StreamFileWriter::Append(const Event& event) {
   return Status::OK();
 }
 
-Status StreamFileWriter::AppendComment(const std::string& comment) {
-  out_ << "# " << comment << '\n';
-  if (!out_.good()) return Status::IoError("write failure");
-  return Status::OK();
-}
-
 Status StreamFileWriter::Flush() {
   out_.flush();
   if (!out_.good()) return Status::IoError("flush failure");

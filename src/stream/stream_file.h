@@ -60,7 +60,6 @@ class StreamFileWriter {
   Status Open(const std::string& path);
 
   Status Append(const Event& event);
-  Status AppendComment(const std::string& comment);
   Status Flush();
   Status Close();
 

@@ -127,6 +127,24 @@ TEST_F(FaultPlanTest, BadEnvironmentSpecSurfacesContext) {
   EXPECT_NE(st.ToString().find("GT_CRASH_AT"), std::string::npos);
 }
 
+TEST_F(FaultPlanTest, ConfiguresFromFlagsOnTopOfTheEnvironment) {
+  ::setenv("GT_FAULT_PLAN", "fail=3", 1);
+  FaultPlan& plan = FaultPlan::Global();
+  ASSERT_TRUE(plan.ConfigureFromFlags("fail=7", " post-checkpoint:2,").ok());
+  EXPECT_EQ(plan.delivery_fail_points(), (std::vector<uint64_t>{3, 7}));
+  size_t fired = 0;
+  plan.set_crash_fn([&](std::string_view) { ++fired; });
+  plan.Hit(kCrashPostCheckpoint);
+  plan.Hit(kCrashPostCheckpoint);
+  EXPECT_EQ(fired, 1u);
+
+  FaultPlan scratch;
+  ::unsetenv("GT_FAULT_PLAN");
+  EXPECT_TRUE(scratch.ConfigureFromFlags("", "").ok());
+  EXPECT_FALSE(scratch.armed());
+  EXPECT_FALSE(scratch.ConfigureFromFlags("", "bogus").ok());
+}
+
 TEST_F(FaultPlanTest, TornCheckpointYieldsProperPrefixFraction) {
   FaultPlan& plan = FaultPlan::Global();
   ASSERT_TRUE(plan.Configure("torn=pre-checkpoint-rename:1,seed=42").ok());

@@ -110,14 +110,6 @@ TEST(RngTest, GaussianMomentsMatch) {
   EXPECT_NEAR(sum_sq / n, 1.0, 0.02);
 }
 
-TEST(RngTest, ExponentialMeanMatchesRate) {
-  Rng rng(29);
-  double sum = 0.0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.NextExponential(4.0);
-  EXPECT_NEAR(sum / n, 0.25, 0.01);
-}
-
 TEST(RngTest, WeightedPicksProportionally) {
   Rng rng(31);
   const std::vector<double> weights = {1.0, 3.0, 0.0, 6.0};

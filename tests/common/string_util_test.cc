@@ -84,16 +84,5 @@ TEST(StartsWithTest, Basic) {
   EXPECT_FALSE(StartsWith("xbc", "ab"));
 }
 
-TEST(JoinStringsTest, Basic) {
-  EXPECT_EQ(JoinStrings({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(JoinStrings({}, ","), "");
-  EXPECT_EQ(JoinStrings({"solo"}, ","), "solo");
-}
-
-TEST(ToUpperAsciiTest, Basic) {
-  EXPECT_EQ(ToUpperAscii("create_vertex"), "CREATE_VERTEX");
-  EXPECT_EQ(ToUpperAscii("MiXeD 123"), "MIXED 123");
-}
-
 }  // namespace
 }  // namespace graphtides

@@ -49,14 +49,6 @@ TEST(InstrumentationHooksTest, MultipleProbesSamePoint) {
   EXPECT_EQ(b, 1);
 }
 
-TEST(InstrumentationHooksTest, HasProbe) {
-  InstrumentationHooks hooks;
-  EXPECT_FALSE(hooks.HasProbe("x"));
-  hooks.Attach("x", [](double) {});
-  EXPECT_TRUE(hooks.HasProbe("x"));
-  EXPECT_FALSE(hooks.HasProbe("y"));
-}
-
 TEST(InstrumentationHooksTest, FireWithoutProbesIsSafe) {
   InstrumentationHooks hooks;
   hooks.Fire("anything", 1.0);  // must not crash

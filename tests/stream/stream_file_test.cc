@@ -68,18 +68,6 @@ TEST_F(StreamFileTest, MissingFileIsIoError) {
   EXPECT_TRUE(read.status().IsIoError());
 }
 
-TEST_F(StreamFileTest, WriterAppendsComments) {
-  StreamFileWriter writer;
-  ASSERT_TRUE(writer.Open(Path("w.gts")).ok());
-  ASSERT_TRUE(writer.AppendComment("generated by test").ok());
-  ASSERT_TRUE(writer.Append(Event::AddVertex(1)).ok());
-  EXPECT_EQ(writer.events_written(), 1u);
-  ASSERT_TRUE(writer.Close().ok());
-  auto read = ReadStreamFile(Path("w.gts"));
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read->size(), 1u);
-}
-
 TEST_F(StreamFileTest, IncrementalReaderYieldsInOrder) {
   const auto events = SampleStream();
   ASSERT_TRUE(WriteStreamFile(Path("inc.gts"), events).ok());

@@ -232,7 +232,8 @@ Result<FrontierArtifact> LoadFrontier(const std::string& path) {
 /// Renders + validates a frontier artifact; optionally checks
 /// reproducibility against a second run and a sanity band. Exit 0 = all
 /// checks passed, 2 = a check failed, 1 = unreadable input.
-int AnalyzeFrontier(const Flags& flags, const std::string& path) {
+int AnalyzeFrontier(const std::string& path, const std::string& compare_path,
+                    const std::string& range) {
   auto artifact = LoadFrontier(path);
   if (!artifact.ok()) return Fail(artifact.status());
   std::printf("%s", FormatFrontierTable(*artifact).c_str());
@@ -244,7 +245,6 @@ int AnalyzeFrontier(const Flags& flags, const std::string& path) {
     ok = false;
   }
 
-  const std::string compare_path = flags.GetString("frontier-compare", "");
   if (!compare_path.empty()) {
     auto other = LoadFrontier(compare_path);
     if (!other.ok()) return Fail(other.status());
@@ -261,7 +261,6 @@ int AnalyzeFrontier(const Flags& flags, const std::string& path) {
     }
   }
 
-  const std::string range = flags.GetString("expect-range", "");
   if (!range.empty()) {
     const auto parts = SplitString(range, ',');
     const auto lo_or = parts.size() == 2 ? ParseDouble(parts[0])
@@ -291,47 +290,47 @@ int AnalyzeFrontier(const Flags& flags, const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv);
-  if (!flags_or.ok()) return Fail(flags_or.status());
-  const Flags& flags = *flags_or;
-  const auto unknown = flags.UnknownFlags(
-      {"log", "log-2", "log-3", "out", "markers", "correlate", "bin-ms",
-       "max-lag", "telemetry", "stream", "threads", "help", "frontier",
-       "frontier-compare", "expect-range"});
-  if (!unknown.empty()) {
-    return Fail(Status::InvalidArgument("unknown flag --" + unknown[0]));
-  }
-  if (flags.GetBool("help")) {
-    std::printf("usage: gt_analyze --log FILE [--markers SENT,SEEN] "
-                "[--correlate A,B --bin-ms N]\n"
-                "       gt_analyze --telemetry FILE\n"
-                "       gt_analyze --stream FILE [--threads N]\n"
-                "       gt_analyze --frontier FILE "
-                "[--frontier-compare FILE2] [--expect-range LO,HI]\n");
-    return 0;
-  }
+  // A flag's default is what its destination holds before parsing.
+  std::string log_paths[3];  // --log, --log-2, --log-3
+  std::string out;
+  std::string markers;
+  std::string correlate;
+  Duration bin = Duration::FromMillis(1000);
+  int max_lag = 10;
+  std::string telemetry_path;
+  std::string stream_path;
+  size_t threads = 0;
+  std::string frontier_path;
+  std::string compare_path;
+  std::string range;
+  FlagTable flags("gt_analyze");
+  flags.Add("log", &log_paths[0]);
+  flags.Add("log-2", &log_paths[1]);
+  flags.Add("log-3", &log_paths[2]);
+  flags.Add("out", &out);
+  flags.Add("markers", &markers);
+  flags.Add("correlate", &correlate);
+  flags.AddMillis("bin-ms", &bin);
+  flags.Add("max-lag", &max_lag);
+  flags.Add("telemetry", &telemetry_path);
+  flags.Add("stream", &stream_path);
+  flags.Add("threads", &threads);
+  flags.Add("frontier", &frontier_path);
+  flags.Add("frontier-compare", &compare_path);
+  flags.Add("expect-range", &range);
+  if (auto exit_code = flags.ParseCommandLine(argc, argv)) return *exit_code;
 
-  const std::string frontier_path = flags.GetString("frontier", "");
-  if (!frontier_path.empty()) return AnalyzeFrontier(flags, frontier_path);
-
-  const std::string telemetry_path = flags.GetString("telemetry", "");
+  if (!frontier_path.empty()) {
+    return AnalyzeFrontier(frontier_path, compare_path, range);
+  }
   if (!telemetry_path.empty()) return AnalyzeTelemetry(telemetry_path);
-
-  const std::string stream_path = flags.GetString("stream", "");
   if (!stream_path.empty()) {
-    auto threads = flags.GetInt("threads", 0);
-    if (!threads.ok()) return Fail(threads.status());
-    if (*threads < 0) {
-      return Fail(Status::InvalidArgument("--threads expects N >= 0"));
-    }
-    return AnalyzeStream(stream_path,
-                         ResolveThreads(static_cast<size_t>(*threads)));
+    return AnalyzeStream(stream_path, ResolveThreads(threads));
   }
 
   // Merge all provided logs.
   std::vector<LogRecord> all;
-  for (const char* name : {"log", "log-2", "log-3"}) {
-    const std::string path = flags.GetString(name, "");
+  for (const std::string& path : log_paths) {
     if (path.empty()) continue;
     auto log = ResultLog::ReadCsv(path);
     if (!log.ok()) return Fail(log.status());
@@ -362,14 +361,12 @@ int main(int argc, char** argv) {
                         .seconds());
   std::printf("%s", table.ToString().c_str());
 
-  const std::string out = flags.GetString("out", "");
   if (!out.empty()) {
     if (Status st = log.WriteCsv(out); !st.ok()) return Fail(st);
     std::printf("\nmerged log -> %s\n", out.c_str());
   }
 
   // Marker correlation (watermark latency, §4.5).
-  const std::string markers = flags.GetString("markers", "");
   if (!markers.empty()) {
     const auto parts = SplitString(markers, ',');
     if (parts.size() != 2) {
@@ -392,7 +389,6 @@ int main(int argc, char** argv) {
   }
 
   // Cross-correlation between two series (§4.5 time-series analyses).
-  const std::string correlate = flags.GetString("correlate", "");
   if (!correlate.empty()) {
     const auto parts = SplitString(correlate, ',');
     if (parts.size() != 2) {
@@ -405,22 +401,16 @@ int main(int argc, char** argv) {
     if (a.empty() || b.empty()) {
       return Fail(Status::NotFound("one of the series is empty"));
     }
-    auto bin_ms = flags.GetInt("bin-ms", 1000);
-    auto max_lag = flags.GetInt("max-lag", 10);
-    if (!bin_ms.ok()) return Fail(bin_ms.status());
-    if (!max_lag.ok()) return Fail(max_lag.status());
     const Timestamp from = std::min(a.start(), b.start());
     const Timestamp to = std::max(a.end(), b.end());
-    const Duration bin = Duration::FromMillis(*bin_ms);
     const auto sa = a.ResampleMean(from, to, bin);
     const auto sb = b.ResampleMean(from, to, bin);
     double correlation = 0.0;
-    const int lag = BestCrossCorrelationLag(
-        sa, sb, static_cast<int>(*max_lag), &correlation);
+    const int lag = BestCrossCorrelationLag(sa, sb, max_lag, &correlation);
     std::printf("\ncross-correlation %s vs %s (bin %lld ms): r = %.3f at "
                 "lag %+d bins\n",
                 std::string(parts[0]).c_str(), std::string(parts[1]).c_str(),
-                static_cast<long long>(*bin_ms), correlation, lag);
+                static_cast<long long>(bin.millis()), correlation, lag);
   }
   return 0;
 }

@@ -108,30 +108,19 @@ std::string FrontierPathFor(const std::string& base, const std::string& sut,
   return base.substr(0, dot) + "." + sut + base.substr(dot);
 }
 
-int RunFrontierMode(const Flags& flags) {
-  const std::string sut_spec = flags.GetString("sut", "weaverlite");
-  const std::string workload_name = flags.GetString("workload", "social");
-  const std::string size_name = flags.GetString("size", "small");
-  const std::string out_path = flags.GetString("frontier-out", "");
+/// The --frontier mode's own flags (the sweep knobs bind into `sweep`).
+struct FrontierFlags {
+  std::string suts = "weaverlite";
+  std::string workload = "social";
+  std::string size = "small";
+  std::string out_path;
+  double max_duration_s = 600.0;
+};
 
-  auto slo_ms = flags.GetDouble("slo-p99-ms", 100.0);
-  auto repetitions = flags.GetInt("repetitions", 3);
-  auto seed = flags.GetInt("seed", 42);
-  auto start_rate = flags.GetDouble("start-rate", 1000.0);
-  auto max_rate = flags.GetDouble("max-rate", 1e6);
-  auto growth = flags.GetDouble("growth", 2.0);
-  auto resolution = flags.GetDouble("resolution", 0.05);
-  auto windows = flags.GetInt("windows", 1);
-  auto confirm = flags.GetInt("confirm", 1);
-  auto max_steps = flags.GetInt("max-steps", 32);
-  auto max_duration_s = flags.GetDouble("max-duration-s", 600.0);
-  for (const Status& st :
-       {slo_ms.status(), repetitions.status(), seed.status(),
-        start_rate.status(), max_rate.status(), growth.status(),
-        resolution.status(), windows.status(), confirm.status(),
-        max_steps.status(), max_duration_s.status()}) {
-    if (!st.ok()) return Fail(st);
-  }
+int RunFrontierMode(const FrontierFlags& flags, FrontierSweepOptions sweep) {
+  const std::string& workload_name = flags.workload;
+  const std::string& size_name = flags.size;
+  sweep.case_options.max_duration = Duration::FromSeconds(flags.max_duration_s);
 
   SuiteSize size;
   if (size_name == "tiny") {
@@ -147,19 +136,6 @@ int RunFrontierMode(const Flags& flags) {
                                         "' (tiny, small, medium, large)"));
   }
 
-  FrontierSweepOptions sweep;
-  sweep.search.slo_p99_ms = *slo_ms;
-  sweep.search.start_rate_eps = *start_rate;
-  sweep.search.max_rate_eps = *max_rate;
-  sweep.search.growth = *growth;
-  sweep.search.resolution = *resolution;
-  sweep.search.windows_per_step = *windows;
-  sweep.search.confirm_violations = *confirm;
-  sweep.search.max_steps = *max_steps;
-  sweep.search.seed = static_cast<uint64_t>(*seed);
-  sweep.repetitions = *repetitions;
-  sweep.case_options.max_duration = Duration::FromSeconds(*max_duration_s);
-
   const SeededWorkloadFactory workload_for =
       [&](uint64_t workload_seed) -> Result<SuiteWorkload> {
     for (SuiteWorkload& w : StandardWorkloads(size, workload_seed)) {
@@ -170,7 +146,7 @@ int RunFrontierMode(const Flags& flags) {
   };
 
   std::vector<std::string> suts;
-  for (std::string_view part : SplitString(sut_spec, ',')) {
+  for (std::string_view part : SplitString(flags.suts, ',')) {
     if (!part.empty()) suts.emplace_back(part);
   }
   bool all_ok = true;
@@ -181,7 +157,7 @@ int RunFrontierMode(const Flags& flags) {
     std::fprintf(stderr,
                  "gt_campaign: frontier sweep: sut=%s workload=%s "
                  "slo p99 %.1f ms, seed %llu\n",
-                 sut.c_str(), workload_name.c_str(), *slo_ms,
+                 sut.c_str(), workload_name.c_str(), sweep.search.slo_p99_ms,
                  static_cast<unsigned long long>(sweep.search.seed));
     auto artifact = RunFrontierSweep(sut, workload_for, *factory, sweep);
     if (!artifact.ok()) return Fail(artifact.status());
@@ -199,8 +175,9 @@ int RunFrontierMode(const Flags& flags) {
                    sut.c_str());
       all_ok = false;
     }
-    if (!out_path.empty()) {
-      const std::string path = FrontierPathFor(out_path, sut, suts.size());
+    if (!flags.out_path.empty()) {
+      const std::string path =
+          FrontierPathFor(flags.out_path, sut, suts.size());
       std::ofstream out(path, std::ios::trunc);
       out << artifact->ToJson() << "\n";
       if (!out.good()) {
@@ -215,64 +192,70 @@ int RunFrontierMode(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv);
-  if (!flags_or.ok()) return Fail(flags_or.status());
-  const Flags& flags = *flags_or;
-  const auto unknown = flags.UnknownFlags(
-      {"runs", "events", "hang-runs", "hang-attempts", "crash-runs",
-       "crash-attempts", "auto-resume", "deadline-ms", "retry-budget",
-       "quarantine-after", "seed", "help", "frontier", "sut", "workload",
-       "size", "slo-p99-ms", "repetitions", "frontier-out", "start-rate",
-       "max-rate", "growth", "resolution", "windows", "confirm", "max-steps",
-       "max-duration-s"});
-  if (!unknown.empty()) {
-    return Fail(Status::InvalidArgument("unknown flag --" + unknown[0]));
+  // A flag's default is what its destination holds before parsing.
+  CampaignOptions options;
+  options.experiment.repetitions = 10;
+  options.watchdog.stall_deadline = Duration::FromMillis(300);
+  uint64_t total_events = 200;
+  uint64_t wedge_attempts = 1;
+  uint64_t crash_attempt_count = 1;
+  std::string hang_runs_spec;
+  std::string crash_runs_spec;
+  bool frontier = false;
+  FrontierFlags frontier_flags;
+  FrontierSweepOptions sweep;
+  sweep.search.max_rate_eps = 1e6;
+  sweep.search.windows_per_step = 1;
+  sweep.search.confirm_violations = 1;
+  FlagTable flags("gt_campaign");
+  flags.Add("runs", &options.experiment.repetitions);
+  flags.Add("events", &total_events);
+  flags.Add("hang-runs", &hang_runs_spec);
+  flags.Add("hang-attempts", &wedge_attempts);
+  flags.Add("crash-runs", &crash_runs_spec);
+  flags.Add("crash-attempts", &crash_attempt_count);
+  flags.Add("auto-resume", &options.auto_resume);
+  flags.AddMillis("deadline-ms", &options.watchdog.stall_deadline);
+  flags.Add("retry-budget", &options.retry_budget);
+  flags.Add("quarantine-after", &options.quarantine_after);
+  flags.Add("seed", &options.experiment.base_seed);
+  flags.Add("frontier", &frontier);
+  flags.Add("sut", &frontier_flags.suts);
+  flags.Add("workload", &frontier_flags.workload);
+  flags.Add("size", &frontier_flags.size);
+  flags.Add("slo-p99-ms", &sweep.search.slo_p99_ms);
+  flags.Add("repetitions", &sweep.repetitions);
+  flags.Add("frontier-out", &frontier_flags.out_path);
+  flags.Add("start-rate", &sweep.search.start_rate_eps);
+  flags.Add("max-rate", &sweep.search.max_rate_eps);
+  flags.Add("growth", &sweep.search.growth);
+  flags.Add("resolution", &sweep.search.resolution);
+  flags.Add("windows", &sweep.search.windows_per_step);
+  flags.Add("confirm", &sweep.search.confirm_violations);
+  flags.Add("max-steps", &sweep.search.max_steps);
+  flags.Add("max-duration-s", &frontier_flags.max_duration_s);
+  if (auto exit_code = flags.ParseCommandLine(argc, argv)) return *exit_code;
+  if (frontier) {
+    sweep.search.seed = options.experiment.base_seed;
+    return RunFrontierMode(frontier_flags, sweep);
   }
-  if (flags.GetBool("help")) {
-    std::printf(
-        "usage: gt_campaign [--runs N] [--events N] [--hang-runs 3,7]\n"
-        "       [--hang-attempts K] [--crash-runs 2,5] [--crash-attempts K]\n"
-        "       [--auto-resume] [--deadline-ms M] [--retry-budget N]\n"
-        "       [--quarantine-after N] [--seed S]\n"
-        "   or: gt_campaign --frontier [--sut weaverlite,chronolite]\n"
-        "       [--workload social] [--size small] [--slo-p99-ms X]\n"
-        "       [--repetitions N] [--seed S] [--frontier-out FILE]\n"
-        "       [--start-rate R] [--max-rate R] [--growth G]\n"
-        "       [--resolution R] [--windows N] [--confirm K]\n"
-        "       [--max-steps N] [--max-duration-s S]\n");
-    return 0;
-  }
-  if (flags.GetBool("frontier")) return RunFrontierMode(flags);
 
-  auto runs = flags.GetInt("runs", 10);
-  auto events = flags.GetInt("events", 200);
-  auto hang_attempts = flags.GetInt("hang-attempts", 1);
-  auto crash_attempts = flags.GetInt("crash-attempts", 1);
-  auto deadline_ms = flags.GetInt("deadline-ms", 300);
-  auto retry_budget = flags.GetInt("retry-budget", 2);
-  auto quarantine_after = flags.GetInt("quarantine-after", 1);
-  auto seed = flags.GetInt("seed", 42);
-  for (const Status& st :
-       {runs.status(), events.status(), hang_attempts.status(),
-        crash_attempts.status(), deadline_ms.status(), retry_budget.status(),
-        quarantine_after.status(), seed.status()}) {
-    if (!st.ok()) return Fail(st);
-  }
-  if (*runs <= 0 || *events <= 0 || *deadline_ms <= 0) {
+  const size_t runs = options.experiment.repetitions;
+  if (runs == 0 || total_events == 0 ||
+      options.watchdog.stall_deadline <= Duration::Zero()) {
     return Fail(Status::InvalidArgument(
         "--runs, --events, and --deadline-ms must be positive"));
   }
 
-  auto parse_run_list = [&](const char* flag_name,
+  auto parse_run_list = [&](const char* flag_name, const std::string& spec,
                             std::set<uint64_t>* out) -> Status {
-    const std::string spec = flags.GetString(flag_name, "");
     for (const auto& part : SplitString(spec, ',')) {
       if (part.empty()) continue;
       auto n = ParseUint64(part);
       if (!n.ok()) {
         return n.status().WithContext(std::string("--") + flag_name);
       }
-      if (*n == 0 || *n > static_cast<uint64_t>(*runs)) {
+      if (*n == 0 || *n > runs) {
         return Status::InvalidArgument(std::string("--") + flag_name +
                                        " entries must be in 1..--runs");
       }
@@ -282,35 +265,26 @@ int main(int argc, char** argv) {
   };
   std::set<uint64_t> hang_runs;
   std::set<uint64_t> crash_runs;
-  if (Status st = parse_run_list("hang-runs", &hang_runs); !st.ok()) {
+  if (Status st = parse_run_list("hang-runs", hang_runs_spec, &hang_runs);
+      !st.ok()) {
     return Fail(st);
   }
-  if (Status st = parse_run_list("crash-runs", &crash_runs); !st.ok()) {
+  if (Status st = parse_run_list("crash-runs", crash_runs_spec, &crash_runs);
+      !st.ok()) {
     return Fail(st);
   }
 
-  CampaignOptions options;
-  options.experiment.repetitions = static_cast<size_t>(*runs);
-  options.experiment.base_seed = static_cast<uint64_t>(*seed);
-  options.retry_budget = static_cast<size_t>(*retry_budget);
-  options.quarantine_after = static_cast<size_t>(*quarantine_after);
-  options.auto_resume = flags.GetBool("auto-resume");
-  options.watchdog.stall_deadline = Duration::FromMillis(*deadline_ms);
-
-  const uint64_t total_events = static_cast<uint64_t>(*events);
-  const uint64_t wedge_attempts = static_cast<uint64_t>(*hang_attempts);
-  const uint64_t crash_attempt_count = static_cast<uint64_t>(*crash_attempts);
   // Per-slot simulated checkpoints: the event count a crashing run had
   // durably applied before dying. Slots only touch their own entry.
-  std::vector<uint64_t> checkpoints(static_cast<size_t>(*runs), 0);
+  std::vector<uint64_t> checkpoints(runs, 0);
 
   std::printf(
-      "gt_campaign: %lld run(s), %zu forced hang(s), %zu forced crash(es)%s, "
-      "deadline %lld ms, retry budget %lld\n",
-      static_cast<long long>(*runs), hang_runs.size(), crash_runs.size(),
+      "gt_campaign: %zu run(s), %zu forced hang(s), %zu forced crash(es)%s, "
+      "deadline %lld ms, retry budget %zu\n",
+      runs, hang_runs.size(), crash_runs.size(),
       options.auto_resume ? " (auto-resume)" : "",
-      static_cast<long long>(*deadline_ms),
-      static_cast<long long>(*retry_budget));
+      static_cast<long long>(options.watchdog.stall_deadline.millis()),
+      options.retry_budget);
 
   CampaignSupervisor supervisor({}, options);
   auto report = supervisor.Run(
@@ -376,10 +350,10 @@ int main(int argc, char** argv) {
         // Live per-run progress line so an unattended n >= 30 campaign is
         // observable while it runs, not only from the final report.
         std::fprintf(stderr,
-                     "gt_campaign: run %zu/%lld attempt %zu done: %llu "
+                     "gt_campaign: run %zu/%zu attempt %zu done: %llu "
                      "events, apply cost p50 %.2f ms p99 %.2f ms, "
                      "%.0f ev/virtual-s\n",
-                     ctx.run_index + 1, static_cast<long long>(*runs),
+                     ctx.run_index + 1, runs,
                      ctx.attempt,
                      static_cast<unsigned long long>(total_events),
                      apply_costs.ValueAtQuantileMicros(0.5) / 1e3,
@@ -429,7 +403,7 @@ int main(int argc, char** argv) {
   }
 
   const bool all_slots_completed =
-      report->total_completed == static_cast<size_t>(*runs) &&
+      report->total_completed == runs &&
       report->quarantined_configs == 0;
   return all_slots_completed ? 0 : 2;
 }

@@ -75,7 +75,9 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "common/string_util.h"
 #include "replayer/lane_outputs.h"
+#include "replayer/replay_config.h"
 
 using namespace graphtides;
 
@@ -213,16 +215,19 @@ struct Trial {
   std::string crash_env;  ///< GT_CRASH_AT value for attempt 0
 };
 
-/// Everything a distributed trial needs to spawn a fleet.
-struct FleetParams {
+/// What every trial's children run with, single-process or fleet.
+struct DrillParams {
   std::string coordinator_bin;
   std::string replayer_bin;
   std::string stream;
-  size_t shards = 2;   ///< global hash-partition width
-  size_t workers = 2;  ///< fleet size
-  std::string rate;    ///< aggregate fleet rate, forwarded verbatim
-  long long checkpoint_every = 100;
-  int retry_budget = 3;
+  size_t shards = 1;   ///< global hash-partition width
+  size_t workers = 0;  ///< fleet size; 0 = single process
+  /// Aggregate replay rate in events/s — drills are about crash
+  /// placement, not pacing.
+  double rate = 1e6;
+  uint64_t checkpoint_every = 100;
+  uint64_t checkpoint_generations = 3;
+  int retry_budget = 3;  ///< resumes (or respawns) per trial
 };
 
 /// Outcome of one supervised fleet trial.
@@ -238,7 +243,7 @@ struct FleetOutcome {
 /// fleet drains or the respawn budget is spent. A killed worker's ranges
 /// are reassigned by the coordinator; a killed coordinator is respawned on
 /// the same port and rebuilds fleet state from the workers' re-HELLOs.
-Result<FleetOutcome> RunFleetTrial(const FleetParams& p,
+Result<FleetOutcome> RunFleetTrial(const DrillParams& p,
                                    const std::string& prefix,
                                    const std::string& crash_env) {
   FleetOutcome out;
@@ -281,7 +286,7 @@ Result<FleetOutcome> RunFleetTrial(const FleetParams& p,
                                     "--workers",
                                     std::to_string(p.workers),
                                     "--rate",
-                                    p.rate,
+                                    std::to_string(p.rate),
                                     "--checkpoint-prefix",
                                     cp_prefix,
                                     "--checkpoint-every",
@@ -447,88 +452,91 @@ Result<FleetOutcome> RunFleetTrial(const FleetParams& p,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv);
-  if (!flags_or.ok()) return Fail(flags_or.status());
-  const Flags& flags = *flags_or;
-  const auto unknown = flags.UnknownFlags(
-      {"in", "generate", "model", "seed", "shards", "rate", "replayer",
-       "generator", "crash-at", "random-kills", "checkpoint-every",
-       "retry-budget", "workdir", "diff-out", "workers", "coordinator",
-       "marker-interval", "help"});
-  if (!unknown.empty()) {
-    return Fail(Status::InvalidArgument("unknown flag --" + unknown[0]));
-  }
-  if (flags.GetBool("help")) {
-    std::printf(
-        "usage: gt_chaos [--in FILE | --generate N --model M] [--seed S]\n"
-        "       [--shards N] [--rate R] [--replayer PATH] "
-        "[--generator PATH]\n"
-        "       [--crash-at POINT[:N],...] [--random-kills K]\n"
-        "       [--checkpoint-every N] [--retry-budget N]\n"
-        "       [--workdir DIR] [--diff-out FILE]\n"
-        "       [--workers W --coordinator PATH] [--marker-interval N]\n");
-    return 0;
-  }
+  // A flag's default is what its destination holds before parsing.
+  DrillParams params;
+  params.replayer_bin = SiblingBinary(argv[0], "gt_replay");
+  params.coordinator_bin = SiblingBinary(argv[0], "gt_coordinator");
+  std::string generator = SiblingBinary(argv[0], "gt_generate");
+  std::string model = "social";
+  std::string workdir = "gt_chaos_work";
+  std::string diff_out;
+  std::string crash_at;
+  uint64_t generate_rounds = 200;
+  uint64_t seed = 1;
+  uint64_t random_kills = 0;
+  uint64_t marker_interval = 0;
+  FlagTable flags("gt_chaos");
+  flags.Add("in", &params.stream);
+  flags.Add("generate", &generate_rounds);
+  flags.Add("model", &model);
+  flags.Add("seed", &seed);
+  flags.Add("shards", &params.shards);
+  flags.Add("rate", &params.rate);
+  flags.Add("replayer", &params.replayer_bin);
+  flags.Add("generator", &generator);
+  flags.Add("crash-at", &crash_at);
+  flags.Add("random-kills", &random_kills);
+  flags.Add("checkpoint-every", &params.checkpoint_every);
+  flags.Add("retry-budget", &params.retry_budget);
+  flags.Add("workdir", &workdir);
+  flags.Add("diff-out", &diff_out);
+  flags.Add("workers", &params.workers);
+  flags.Add("coordinator", &params.coordinator_bin);
+  flags.Add("marker-interval", &marker_interval);
+  if (auto exit_code = flags.ParseCommandLine(argc, argv)) return *exit_code;
 
-  auto generate_rounds = flags.GetInt("generate", 200);
-  auto seed = flags.GetInt("seed", 1);
-  auto shards_flag = flags.GetInt("shards", 1);
-  auto rate = flags.GetDouble("rate", 1e6);
-  auto random_kills = flags.GetInt("random-kills", 0);
-  auto checkpoint_every = flags.GetInt("checkpoint-every", 100);
-  auto retry_budget = flags.GetInt("retry-budget", 3);
-  auto workers_flag = flags.GetInt("workers", 0);
-  for (const Status& st :
-       {generate_rounds.status(), seed.status(), shards_flag.status(),
-        rate.status(), random_kills.status(), checkpoint_every.status(),
-        retry_budget.status(), workers_flag.status()}) {
-    if (!st.ok()) return Fail(st);
+  // Everything a child would reject is rejected here, before the first
+  // child starts: the replay cell every trial runs goes through the
+  // validator the child gt_replay (or gt_coordinator) applies, and each
+  // --crash-at entry is parsed into a scratch fault plan.
+  ShardedReplayerOptions cell;
+  cell.shards = params.shards;
+  cell.total_rate_eps = params.rate;
+  cell.checkpoint_every = params.checkpoint_every;
+  cell.checkpoint_generations = params.checkpoint_generations;
+  cell.checkpoint_path = workdir + "/trial.cp";
+  if (Status st = ValidateReplayConfig(cell, {.files = true}); !st.ok()) {
+    return Fail(st);
   }
-  if (*shards_flag < 1) {
-    return Fail(Status::InvalidArgument("--shards must be >= 1"));
-  }
-  const bool distributed = *workers_flag > 0;
-  if (distributed && *shards_flag < 2) {
+  const bool distributed = params.workers > 0;
+  if (distributed && params.shards < 2) {
     return Fail(Status::InvalidArgument(
         "--workers needs --shards >= 2 (a fleet partitions the shard "
         "space; give the golden run the same width)"));
   }
-  auto marker_interval =
-      flags.GetInt("marker-interval", distributed ? 100 : 0);
-  if (!marker_interval.ok()) return Fail(marker_interval.status());
-  if (*checkpoint_every < 1) {
+  if (params.checkpoint_every < 1) {
     return Fail(Status::InvalidArgument("--checkpoint-every must be >= 1"));
   }
-  if (*retry_budget < 1) {
+  if (params.retry_budget < 1) {
     return Fail(Status::InvalidArgument("--retry-budget must be >= 1"));
   }
-  const size_t shards = static_cast<size_t>(*shards_flag);
-  const std::string rate_str = std::to_string(*rate);
+  std::vector<std::string> scripted;
+  FaultPlan crash_check;
+  for (const std::string_view part : SplitString(crash_at, ',')) {
+    const std::string spec(TrimWhitespace(part));
+    if (spec.empty()) continue;
+    if (Status st = crash_check.Configure("crash=" + spec); !st.ok()) {
+      return Fail(st.WithContext("--crash-at"));
+    }
+    scripted.push_back(spec);
+  }
+  if (!flags.Given("marker-interval") && distributed) marker_interval = 100;
 
-  const std::string workdir = flags.GetString("workdir", "gt_chaos_work");
   if (::mkdir(workdir.c_str(), 0755) != 0 && errno != EEXIST) {
     return Fail(Status::IoError("cannot create " + workdir));
   }
-  const std::string diff_out =
-      flags.GetString("diff-out", workdir + "/diff.txt");
-  const std::string replayer =
-      flags.GetString("replayer", SiblingBinary(argv[0], "gt_replay"));
-  const std::string generator =
-      flags.GetString("generator", SiblingBinary(argv[0], "gt_generate"));
-  const std::string coordinator =
-      flags.GetString("coordinator", SiblingBinary(argv[0], "gt_coordinator"));
+  if (!flags.Given("diff-out")) diff_out = workdir + "/diff.txt";
 
   // Workload: caller-provided stream, or a generated one.
-  std::string stream = flags.GetString("in", "");
-  if (stream.empty()) {
-    stream = workdir + "/stream.gts";
+  if (params.stream.empty()) {
+    params.stream = workdir + "/stream.gts";
     std::vector<std::string> gen_args = {
-        generator, "--model", flags.GetString("model", "social"), "--rounds",
-        std::to_string(*generate_rounds), "--seed", std::to_string(*seed),
-        "--out", stream};
-    if (*marker_interval > 0) {
+        generator, "--model", model, "--rounds",
+        std::to_string(generate_rounds), "--seed", std::to_string(seed),
+        "--out", params.stream};
+    if (marker_interval > 0) {
       gen_args.insert(gen_args.end(), {"--marker-interval",
-                                       std::to_string(*marker_interval)});
+                                       std::to_string(marker_interval)});
     }
     auto gen = RunChild(gen_args, "", workdir + "/generate.log");
     if (!gen.ok()) return Fail(gen.status());
@@ -537,24 +545,24 @@ int main(int argc, char** argv) {
                                   "/generate.log"));
     }
   }
-  auto entries = CountLines(stream);
+  auto entries = CountLines(params.stream);
   if (!entries.ok()) return Fail(entries.status());
   if (*entries == 0) return Fail(Status::InvalidArgument("empty stream"));
 
+  const size_t shards = params.shards;
   auto replay_args = [&](const std::string& out_prefix,
                          const std::string& checkpoint,
                          bool resume) {
     std::vector<std::string> args = {
-        replayer,           "--in",
-        stream,             "--rate",
-        rate_str,           "--shards",
-        std::to_string(shards), "--out",
-        out_prefix};
+        params.replayer_bin, "--in", params.stream, "--rate",
+        std::to_string(params.rate), "--shards", std::to_string(shards),
+        "--out", out_prefix};
     if (!checkpoint.empty()) {
       args.insert(args.end(),
                   {"--checkpoint-file", checkpoint, "--checkpoint-every",
-                   std::to_string(*checkpoint_every),
-                   "--checkpoint-generations", "3"});
+                   std::to_string(params.checkpoint_every),
+                   "--checkpoint-generations",
+                   std::to_string(params.checkpoint_generations)});
       if (resume) args.insert(args.end(), {"--resume-from", checkpoint});
     }
     return args;
@@ -580,24 +588,16 @@ int main(int argc, char** argv) {
 
   // Trial plan: scripted crash points first, then seeded random positions.
   std::vector<Trial> trials;
-  if (flags.Has("crash-at")) {
-    std::string spec = flags.GetString("crash-at", "");
-    size_t start = 0;
-    while (start <= spec.size()) {
-      const size_t comma = spec.find(',', start);
-      const std::string part =
-          spec.substr(start, comma == std::string::npos ? std::string::npos
-                                                        : comma - start);
-      if (!part.empty()) trials.push_back({"scripted " + part, part});
-      if (comma == std::string::npos) break;
-      start = comma + 1;
+  if (flags.Given("crash-at")) {
+    for (const std::string& spec : scripted) {
+      trials.push_back({"scripted " + spec, spec});
     }
   } else if (distributed) {
     // Default fleet drill: kill each side of the control plane at its
     // dedicated points, plus a data-plane kill mid-range and a torn
     // checkpoint write inside worker 0.
     const std::string mid_range = std::to_string(std::max<size_t>(
-        1, *entries / (2 * static_cast<size_t>(*workers_flag))));
+        1, *entries / (2 * params.workers)));
     for (const std::string& spec :
          {std::string(kCrashWorkerPostHello) + ":1",
           std::string(kCrashWorkerEpochReport) + ":2",
@@ -624,8 +624,8 @@ int main(int argc, char** argv) {
       trials.push_back({"scripted " + spec, spec});
     }
   }
-  Rng rng(static_cast<uint64_t>(*seed) ^ 0xc4a5c85d68dbef22ULL);
-  for (int k = 0; k < *random_kills; ++k) {
+  Rng rng(seed ^ 0xc4a5c85d68dbef22ULL);
+  for (uint64_t k = 0; k < random_kills; ++k) {
     // Random position in the stream: crash after a uniformly random
     // delivered event. Occasionally pick a checkpoint-path point instead so
     // randomized trials also exercise torn-rename windows.
@@ -635,8 +635,8 @@ int main(int argc, char** argv) {
       spec = std::string(kCrashPostDelivery) + ":" +
              std::to_string(1 + rng.NextBounded(*entries));
     } else {
-      const size_t max_checkpoints = std::max<size_t>(
-          1, *entries / static_cast<size_t>(*checkpoint_every));
+      const size_t max_checkpoints =
+          std::max<size_t>(1, *entries / params.checkpoint_every);
       const std::string_view points[] = {kCrashMidCheckpointWrite,
                                          kCrashPreCheckpointRename,
                                          kCrashPostCheckpoint};
@@ -670,15 +670,6 @@ int main(int argc, char** argv) {
     bool converged = false;
     std::string failure;
     if (distributed) {
-      FleetParams params;
-      params.coordinator_bin = coordinator;
-      params.replayer_bin = replayer;
-      params.stream = stream;
-      params.shards = shards;
-      params.workers = static_cast<size_t>(*workers_flag);
-      params.rate = rate_str;
-      params.checkpoint_every = *checkpoint_every;
-      params.retry_budget = static_cast<int>(*retry_budget);
       auto fleet = RunFleetTrial(params, prefix, trial.crash_env);
       if (!fleet.ok()) return Fail(fleet.status());
       crashes = fleet->crashes;
@@ -692,7 +683,7 @@ int main(int argc, char** argv) {
             g == 0 ? checkpoint : checkpoint + "." + std::to_string(g);
         ::unlink(path.c_str());
       }
-      for (int attempt = 0; attempt <= *retry_budget; ++attempt) {
+      for (int attempt = 0; attempt <= params.retry_budget; ++attempt) {
         // Resume only when a checkpoint was published before the kill; a
         // crash before the first checkpoint restarts from scratch.
         struct ::stat cp_stat {};
@@ -753,11 +744,11 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr,
                "gt_chaos: %zu/%zu trial(s) byte-identical after kill–resume "
-               "(%zu shard(s), %s, retry budget %lld)\n",
+               "(%zu shard(s), %s, retry budget %d)\n",
                passed, trials.size(), shards,
                distributed
-                   ? (std::to_string(*workers_flag) + "-worker fleet").c_str()
+                   ? (std::to_string(params.workers) + "-worker fleet").c_str()
                    : "single process",
-               static_cast<long long>(*retry_budget));
+               params.retry_budget);
   return failed == 0 ? 0 : 2;
 }

@@ -36,22 +36,17 @@ int Fail(const Status& status) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv);
-  if (!flags_or.ok()) return Fail(flags_or.status());
-  const Flags& flags = *flags_or;
-  const auto unknown = flags.UnknownFlags({"in", "out", "to", "quiet", "help"});
-  if (!unknown.empty()) {
-    return Fail(Status::InvalidArgument("unknown flag --" + unknown[0]));
-  }
-  if (flags.GetBool("help")) {
-    std::printf(
-        "usage: gt_convert --in FILE --out FILE [--to csv|v2] [--quiet]\n");
-    return 0;
-  }
-
-  const std::string in = flags.GetString("in", "");
+  std::string in;
+  std::string out;
+  std::string to;  // empty: the opposite of the input format
+  bool quiet = false;
+  FlagTable flags("gt_convert");
+  flags.Add("in", &in);
+  flags.Add("out", &out);
+  flags.Add("to", &to);
+  flags.Add("quiet", &quiet);
+  if (auto exit_code = flags.ParseCommandLine(argc, argv)) return *exit_code;
   if (in.empty()) return Fail(Status::InvalidArgument("--in is required"));
-  const std::string out = flags.GetString("out", "");
   if (out.empty()) return Fail(Status::InvalidArgument("--out is required"));
 
   auto in_format = DetectStreamFormat(in);
@@ -60,7 +55,6 @@ int main(int argc, char** argv) {
   StreamFormat out_format = *in_format == StreamFormat::kV2
                                 ? StreamFormat::kCsv
                                 : StreamFormat::kV2;
-  const std::string to = flags.GetString("to", "");
   if (to == "csv") {
     out_format = StreamFormat::kCsv;
   } else if (to == "v2") {
@@ -147,7 +141,7 @@ int main(int argc, char** argv) {
     return Fail(st);
   }
 
-  if (!flags.GetBool("quiet")) {
+  if (!quiet) {
     std::fprintf(stderr, "gt_convert: %zu events, %s -> %s (%s)\n", events,
                  in.c_str(), out.c_str(),
                  std::string(StreamFormatName(out_format)).c_str());

@@ -27,6 +27,8 @@
 //   --listen HOST:PORT      bind address (default 127.0.0.1:0 = ephemeral)
 //   --port-file FILE        write the bound port (scripts with port 0)
 //   --heartbeat-timeout-ms M  declare a silent worker dead (default 2000)
+//   --tick-ms M             main-loop cadence: reassignment scans and
+//                           telemetry (default 100)
 //   --max-runtime-ms M      abort an incompletable fleet (0 = unbounded)
 //   --send-attempts N       control-plane send retries (default 3)
 //   --backoff-seed S        retry jitter seed (default 1)
@@ -44,7 +46,6 @@
 
 #include "common/fault_plan.h"
 #include "common/flags.h"
-#include "common/string_util.h"
 #include "distributed/coordinator.h"
 #include "stream/v2_format.h"
 
@@ -60,103 +61,51 @@ int Fail(const Status& status) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv);
-  if (!flags_or.ok()) return Fail(flags_or.status());
-  const Flags& flags = *flags_or;
-  const auto unknown = flags.UnknownFlags(
-      {"stream", "total-shards", "ranges", "workers", "rate",
-       "checkpoint-prefix", "checkpoint-every", "checkpoint-generations",
-       "out", "ignore-controls", "listen", "port-file",
-       "heartbeat-timeout-ms", "tick-ms", "max-runtime-ms", "send-attempts",
-       "backoff-seed", "telemetry-out", "telemetry-period-ms", "crash-at",
-       "fault-plan", "help"});
-  if (!unknown.empty()) {
-    return Fail(Status::InvalidArgument("unknown flag --" + unknown[0]));
-  }
-  if (flags.GetBool("help")) {
-    std::printf(
-        "usage: gt_coordinator --stream FILE --total-shards N --workers N "
-        "--checkpoint-prefix P --out PREFIX\n"
-        "       [--ranges N] [--rate R] [--checkpoint-every N] "
-        "[--checkpoint-generations N] [--ignore-controls]\n"
-        "       [--listen HOST:PORT] [--port-file FILE] "
-        "[--heartbeat-timeout-ms M] [--max-runtime-ms M]\n"
-        "       [--send-attempts N] [--backoff-seed S] "
-        "[--telemetry-out FILE] [--telemetry-period-ms M]\n"
-        "       [--crash-at POINT[:N]] [--fault-plan SPEC]\n");
-    return 0;
-  }
+  // A flag's default is what its destination holds before parsing.
+  CoordinatorOptions options;
+  std::string listen_spec = "127.0.0.1:0";  // port 0: see --port-file
+  std::string port_file;
+  std::string crash_at;
+  std::string fault_plan_spec;
+  bool ignore_controls = false;
+  FlagTable flags("gt_coordinator");
+  flags.Add("stream", &options.stream);
+  flags.Add("total-shards", &options.total_shards);
+  flags.Add("ranges", &options.ranges);
+  flags.Add("workers", &options.workers);
+  flags.Add("rate", &options.rate_eps);
+  flags.Add("checkpoint-prefix", &options.checkpoint_prefix);
+  flags.Add("checkpoint-every", &options.checkpoint_every);
+  flags.Add("checkpoint-generations", &options.checkpoint_generations);
+  flags.Add("out", &options.out_prefix);
+  flags.Add("ignore-controls", &ignore_controls);
+  flags.Add("listen", &listen_spec);
+  flags.Add("port-file", &port_file);
+  flags.Add("heartbeat-timeout-ms", &options.heartbeat_timeout_ms);
+  flags.Add("tick-ms", &options.tick_ms);
+  flags.Add("max-runtime-ms", &options.max_runtime_ms);
+  flags.Add("send-attempts", &options.send_attempts);
+  flags.Add("backoff-seed", &options.backoff_seed);
+  flags.Add("telemetry-out", &options.telemetry_out);
+  flags.Add("telemetry-period-ms", &options.telemetry_every_ms);
+  flags.Add("crash-at", &crash_at);
+  flags.Add("fault-plan", &fault_plan_spec);
+  if (auto exit_code = flags.ParseCommandLine(argc, argv)) return *exit_code;
 
-  FaultPlan& fault_plan = FaultPlan::Global();
-  if (Status st = fault_plan.ConfigureFromEnv(); !st.ok()) return Fail(st);
-  if (flags.Has("fault-plan")) {
-    if (Status st = fault_plan.Configure(flags.GetString("fault-plan", ""));
-        !st.ok()) {
-      return Fail(st);
-    }
+  if (Status st =
+          FaultPlan::Global().ConfigureFromFlags(fault_plan_spec, crash_at);
+      !st.ok()) {
+    return Fail(st);
   }
-  if (flags.Has("crash-at")) {
-    for (const std::string_view part :
-         SplitString(flags.GetString("crash-at", ""), ',')) {
-      const std::string_view point = TrimWhitespace(part);
-      if (point.empty()) continue;
-      if (Status st = fault_plan.Configure("crash=" + std::string(point));
-          !st.ok()) {
-        return Fail(st);
-      }
-    }
-  }
-
-  auto total_shards = flags.GetInt("total-shards", 2);
-  auto ranges = flags.GetInt("ranges", 0);
-  auto workers = flags.GetInt("workers", 2);
-  auto rate = flags.GetDouble("rate", 10000.0);
-  auto checkpoint_every = flags.GetInt("checkpoint-every", 5000);
-  auto checkpoint_generations = flags.GetInt("checkpoint-generations", 3);
-  auto heartbeat_timeout_ms = flags.GetInt("heartbeat-timeout-ms", 2000);
-  auto tick_ms = flags.GetInt("tick-ms", 100);
-  auto max_runtime_ms = flags.GetInt("max-runtime-ms", 0);
-  auto send_attempts = flags.GetInt("send-attempts", 3);
-  auto backoff_seed = flags.GetInt("backoff-seed", 1);
-  auto telemetry_period_ms = flags.GetInt("telemetry-period-ms", 500);
-  for (const Status& st :
-       {total_shards.status(), ranges.status(), workers.status(),
-        rate.status(), checkpoint_every.status(),
-        checkpoint_generations.status(), heartbeat_timeout_ms.status(),
-        tick_ms.status(), max_runtime_ms.status(), send_attempts.status(),
-        backoff_seed.status(), telemetry_period_ms.status()}) {
-    if (!st.ok()) return Fail(st);
-  }
-  if (*total_shards < 1 || *workers < 1) {
+  if (options.total_shards < 1 || options.workers < 1) {
     return Fail(Status::InvalidArgument(
         "--total-shards and --workers must be >= 1"));
   }
-
-  CoordinatorOptions options;
-  // Port 0 asks the OS for an ephemeral port (see --port-file).
-  auto listen = ParseHostPort(flags.GetString("listen", "127.0.0.1:0"),
-                              "listen", /*allow_port_zero=*/true);
+  auto listen = ParseHostPort(listen_spec, "listen", /*allow_port_zero=*/true);
   if (!listen.ok()) return Fail(listen.status());
   options.host = listen->host;
   options.port = listen->port;
-  options.stream = flags.GetString("stream", "");
-  options.total_shards = static_cast<uint32_t>(*total_shards);
-  options.ranges = static_cast<uint32_t>(*ranges);
-  options.workers = static_cast<size_t>(*workers);
-  options.rate_eps = *rate;
-  options.checkpoint_prefix = flags.GetString("checkpoint-prefix", "");
-  options.checkpoint_every = static_cast<uint64_t>(*checkpoint_every);
-  options.checkpoint_generations =
-      static_cast<uint64_t>(*checkpoint_generations);
-  options.out_prefix = flags.GetString("out", "");
-  options.honor_controls = !flags.GetBool("ignore-controls");
-  options.heartbeat_timeout_ms = static_cast<int>(*heartbeat_timeout_ms);
-  options.tick_ms = static_cast<int>(*tick_ms);
-  options.max_runtime_ms = static_cast<int>(*max_runtime_ms);
-  options.send_attempts = static_cast<int>(*send_attempts);
-  options.backoff_seed = static_cast<uint64_t>(*backoff_seed);
-  options.telemetry_out = flags.GetString("telemetry-out", "");
-  options.telemetry_every_ms = static_cast<int>(*telemetry_period_ms);
+  options.honor_controls = !ignore_controls;
   if (Status st = ValidateCoordinatorOptions(options); !st.ok()) {
     return Fail(st);
   }
@@ -174,7 +123,6 @@ int main(int argc, char** argv) {
   if (!bound.ok()) return Fail(bound.status());
   std::fprintf(stderr, "gt_coordinator: listening on %s:%u\n",
                options.host.c_str(), static_cast<unsigned>(*bound));
-  const std::string port_file = flags.GetString("port-file", "");
   if (!port_file.empty()) {
     std::FILE* f = std::fopen(port_file.c_str(), "wb");
     if (f == nullptr) {

@@ -35,69 +35,49 @@ int Fail(const Status& status) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv);
-  if (!flags_or.ok()) return Fail(flags_or.status());
-  const Flags& flags = *flags_or;
-  const auto unknown = flags.UnknownFlags(
-      {"in", "out", "drop", "dup", "reorder", "window", "seed",
-       "include-non-graph", "shuffle-begin", "shuffle-end", "report", "help"});
-  if (!unknown.empty()) {
-    return Fail(Status::InvalidArgument("unknown flag --" + unknown[0]));
-  }
-  if (flags.GetBool("help")) {
-    std::printf("usage: gt_faults --in FILE --out FILE [--drop P] [--dup P] "
-                "[--reorder P --window N] [--seed S]\n"
-                "       [--shuffle-begin N --shuffle-end M] [--report FILE]\n");
-    return 0;
-  }
-
-  const std::string in = flags.GetString("in", "");
-  const std::string out = flags.GetString("out", "");
+  std::string in;
+  std::string out;
+  std::string report_file;
+  FaultOptions options;
+  bool include_non_graph = false;
+  int64_t shuffle_begin = 0;
+  int64_t shuffle_end = 0;
+  FlagTable flags("gt_faults");
+  flags.Add("in", &in);
+  flags.Add("out", &out);
+  flags.Add("drop", &options.drop_probability);
+  flags.Add("dup", &options.duplicate_probability);
+  flags.Add("reorder", &options.reorder_probability);
+  flags.Add("window", &options.reorder_window);
+  flags.Add("seed", &options.seed);
+  flags.Add("include-non-graph", &include_non_graph);
+  flags.Add("shuffle-begin", &shuffle_begin);
+  flags.Add("shuffle-end", &shuffle_end);
+  flags.Add("report", &report_file);
+  if (auto exit_code = flags.ParseCommandLine(argc, argv)) return *exit_code;
   if (in.empty() || out.empty()) {
     return Fail(Status::InvalidArgument("--in and --out are required"));
   }
+  options.protect_non_graph_events = !include_non_graph;
   auto events = ReadStreamFile(in);
   if (!events.ok()) return Fail(events.status());
-
-  FaultOptions options;
-  auto drop = flags.GetDouble("drop", 0.0);
-  auto dup = flags.GetDouble("dup", 0.0);
-  auto reorder = flags.GetDouble("reorder", 0.0);
-  auto window = flags.GetInt("window", 8);
-  auto seed = flags.GetInt("seed", 1);
-  for (const Status& st :
-       {drop.status(), dup.status(), reorder.status(), window.status(),
-        seed.status()}) {
-    if (!st.ok()) return Fail(st);
-  }
-  options.drop_probability = *drop;
-  options.duplicate_probability = *dup;
-  options.reorder_probability = *reorder;
-  options.reorder_window = static_cast<size_t>(*window);
-  options.seed = static_cast<uint64_t>(*seed);
-  options.protect_non_graph_events = !flags.GetBool("include-non-graph");
 
   FaultReport report;
   std::vector<Event> faulty = InjectFaults(*events, options, &report);
 
   // Optional partial-stream shuffle, applied after the per-event faults so
   // the window indices refer to the stream that will actually be written.
-  auto shuffle_begin = flags.GetInt("shuffle-begin", 0);
-  auto shuffle_end = flags.GetInt("shuffle-end", 0);
-  for (const Status& st : {shuffle_begin.status(), shuffle_end.status()}) {
-    if (!st.ok()) return Fail(st);
-  }
   size_t shuffled = 0;
-  if (flags.Has("shuffle-begin") || flags.Has("shuffle-end")) {
-    if (*shuffle_begin < 0 || *shuffle_end < *shuffle_begin) {
+  if (flags.Given("shuffle-begin") || flags.Given("shuffle-end")) {
+    if (shuffle_begin < 0 || shuffle_end < shuffle_begin) {
       return Fail(Status::InvalidArgument(
           "--shuffle-begin/--shuffle-end must satisfy 0 <= N <= M"));
     }
     // Distinct stream from the per-event fault draws so adding a shuffle
     // does not change which events get dropped/duplicated.
     Rng rng(options.seed ^ 0x5A0FFULL);
-    const size_t begin = static_cast<size_t>(*shuffle_begin);
-    const size_t end = static_cast<size_t>(*shuffle_end);
+    const size_t begin = static_cast<size_t>(shuffle_begin);
+    const size_t end = static_cast<size_t>(shuffle_end);
     faulty = ShuffleWindow(std::move(faulty), begin, end, rng);
     shuffled = std::min(end, faulty.size()) -
                std::min(begin, faulty.size());
@@ -107,7 +87,6 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "gt_faults: %s shuffled=%zu -> %s\n",
                report.ToString().c_str(), shuffled, out.c_str());
 
-  const std::string report_file = flags.GetString("report", "");
   if (!report_file.empty()) {
     std::FILE* f = std::fopen(report_file.c_str(), "w");
     if (f == nullptr) {

@@ -69,41 +69,40 @@ class TeeStatsConsumer final : public EventConsumer {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv);
-  if (!flags_or.ok()) return Fail(flags_or.status());
-  const Flags& flags = *flags_or;
-  const auto unknown = flags.UnknownFlags(
-      {"model", "rounds", "seed", "out", "stream-out", "format",
-       "marker-interval", "bootstrap-pause", "no-phase-markers", "stats",
-       "help"});
-  if (!unknown.empty()) {
-    return Fail(Status::InvalidArgument("unknown flag --" + unknown[0]));
-  }
-  if (flags.GetBool("help")) {
-    std::printf("usage: gt_generate --model social|ddos|blockchain|mix "
-                "--rounds N --seed S [--out FILE | --stream-out FILE] "
-                "[--format csv|v2]\n");
-    return 0;
-  }
+  std::string model_name = "social";
+  std::string out;
+  std::string stream_out;
+  std::string format_name = "csv";
+  StreamGeneratorOptions options;
+  bool no_phase_markers = false;
+  bool want_stats = false;
+  FlagTable flags("gt_generate");
+  flags.Add("model", &model_name);
+  flags.Add("rounds", &options.rounds);
+  flags.Add("seed", &options.seed);
+  flags.Add("out", &out);
+  flags.Add("stream-out", &stream_out);
+  flags.Add("format", &format_name);
+  flags.Add("marker-interval", &options.marker_interval);
+  flags.AddMillis("bootstrap-pause", &options.bootstrap_pause);
+  flags.Add("no-phase-markers", &no_phase_markers);
+  flags.Add("stats", &want_stats);
+  if (auto exit_code = flags.ParseCommandLine(argc, argv)) return *exit_code;
+  options.emit_phase_markers = !no_phase_markers;
 
-  const std::string format_name = flags.GetString("format", "csv");
   if (format_name != "csv" && format_name != "v2") {
     return Fail(Status::InvalidArgument("unknown --format: " + format_name));
   }
   const bool v2_out = format_name == "v2";
 
-  const std::string model_name = flags.GetString("model", "social");
   std::unique_ptr<GeneratorModel> model;
   if (model_name == "social") {
     model = std::make_unique<SocialNetworkModel>();
   } else if (model_name == "ddos") {
-    DdosModelOptions options;
-    auto rounds = flags.GetInt("rounds", 10000);
-    if (!rounds.ok()) return Fail(rounds.status());
+    DdosModelOptions ddos;
     // One attack window in the middle third of the run.
-    options.attacks = {{static_cast<uint64_t>(*rounds / 3),
-                        static_cast<uint64_t>(2 * *rounds / 3)}};
-    model = std::make_unique<DdosModel>(options);
+    ddos.attacks = {{options.rounds / 3, 2 * options.rounds / 3}};
+    model = std::make_unique<DdosModel>(ddos);
   } else if (model_name == "blockchain") {
     model = std::make_unique<BlockchainModel>();
   } else if (model_name == "mix") {
@@ -112,26 +111,9 @@ int main(int argc, char** argv) {
     return Fail(Status::InvalidArgument("unknown model: " + model_name));
   }
 
-  StreamGeneratorOptions options;
-  auto rounds = flags.GetInt("rounds", 10000);
-  if (!rounds.ok()) return Fail(rounds.status());
-  options.rounds = static_cast<size_t>(*rounds);
-  auto seed = flags.GetInt("seed", 42);
-  if (!seed.ok()) return Fail(seed.status());
-  options.seed = static_cast<uint64_t>(*seed);
-  auto marker_interval = flags.GetInt("marker-interval", 0);
-  if (!marker_interval.ok()) return Fail(marker_interval.status());
-  options.marker_interval = static_cast<size_t>(*marker_interval);
-  auto pause_ms = flags.GetInt("bootstrap-pause", 0);
-  if (!pause_ms.ok()) return Fail(pause_ms.status());
-  options.bootstrap_pause = Duration::FromMillis(*pause_ms);
-  options.emit_phase_markers = !flags.GetBool("no-phase-markers");
-
   StreamGenerator generator(model.get(), options);
-  const bool want_stats = flags.GetBool("stats");
   StreamStatisticsBuilder stats;
 
-  const std::string stream_out = flags.GetString("stream-out", "");
   if (!stream_out.empty()) {
     // Streaming path: generator engine thread -> batch queue -> this
     // thread's serializer and writer; RSS stays bounded regardless of
@@ -176,7 +158,6 @@ int main(int argc, char** argv) {
   auto stream = generator.Generate();
   if (!stream.ok()) return Fail(stream.status());
 
-  const std::string out = flags.GetString("out", "");
   if (out.empty()) {
     if (v2_out) {
       V2FileWriter writer;

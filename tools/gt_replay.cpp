@@ -140,7 +140,6 @@
 //   --heartbeat-ms M       heartbeat interval (default 200)
 //   --epoch-wait-ms M      partition rule: quiesce when an epoch release
 //                          does not arrive within M ms (default 10000)
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -149,7 +148,6 @@
 #include "common/cancellation.h"
 #include "common/fault_plan.h"
 #include "common/flags.h"
-#include "common/string_util.h"
 #include "distributed/worker.h"
 #include "faults/chaos_sink.h"
 #include "harness/capacity/capacity_controller.h"
@@ -174,58 +172,19 @@ int Fail(const Status& status) {
   return 1;
 }
 
-Status ConfigureFaultPlan(const Flags& flags) {
-  FaultPlan& fault_plan = FaultPlan::Global();
-  GT_RETURN_NOT_OK(fault_plan.ConfigureFromEnv());
-  if (flags.Has("fault-plan")) {
-    GT_RETURN_NOT_OK(
-        fault_plan.Configure(flags.GetString("fault-plan", "")));
-  }
-  if (flags.Has("crash-at")) {
-    const std::string crash_at = flags.GetString("crash-at", "");
-    for (const std::string_view part : SplitString(crash_at, ',')) {
-      const std::string_view point = TrimWhitespace(part);
-      if (point.empty()) continue;
-      GT_RETURN_NOT_OK(
-          fault_plan.Configure("crash=" + std::string(point)));
-    }
-  }
-  return Status::OK();
-}
-
 // --worker: hand this process to a coordinator as a distributed replay
 // worker. All replay parameters (stream, range, rate, checkpointing,
 // output) arrive over the control channel in ASSIGN frames.
-int RunWorkerMode(const Flags& flags) {
-  if (Status st = ConfigureFaultPlan(flags); !st.ok()) return Fail(st);
-  const std::string spec = flags.GetString("coordinator", "");
-  if (spec.empty()) {
+int RunWorkerMode(const std::string& coordinator_spec,
+                  ReplayWorkerOptions options) {
+  if (coordinator_spec.empty()) {
     return Fail(
         Status::InvalidArgument("--worker requires --coordinator HOST:PORT"));
   }
-  auto coordinator = ParseHostPort(spec, "coordinator");
+  auto coordinator = ParseHostPort(coordinator_spec, "coordinator");
   if (!coordinator.ok()) return Fail(coordinator.status());
-  auto connect_timeout_ms = flags.GetInt("connect-timeout-ms", 2000);
-  auto dial_attempts = flags.GetInt("dial-attempts", 15);
-  auto heartbeat_ms = flags.GetInt("heartbeat-ms", 200);
-  auto epoch_wait_ms = flags.GetInt("epoch-wait-ms", 10000);
-  auto backoff_seed = flags.GetInt("backoff-seed", 1);
-  for (const Status& st :
-       {connect_timeout_ms.status(), dial_attempts.status(),
-        heartbeat_ms.status(), epoch_wait_ms.status(),
-        backoff_seed.status()}) {
-    if (!st.ok()) return Fail(st);
-  }
-
-  ReplayWorkerOptions options;
   options.coordinator_host = coordinator->host;
   options.coordinator_port = coordinator->port;
-  options.worker_id = flags.GetString("worker-id", "");
-  options.connect_timeout_ms = static_cast<int>(*connect_timeout_ms);
-  options.dial_attempts = static_cast<int>(*dial_attempts);
-  options.heartbeat_interval_ms = static_cast<int>(*heartbeat_ms);
-  options.epoch_wait_timeout_ms = static_cast<int>(*epoch_wait_ms);
-  options.backoff_seed = static_cast<uint64_t>(*backoff_seed);
 
   ReplayWorker worker(options);
   const Status status = worker.Run();
@@ -247,130 +206,118 @@ int RunWorkerMode(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv);
-  if (!flags_or.ok()) return Fail(flags_or.status());
-  const Flags& flags = *flags_or;
-  const auto unknown = flags.UnknownFlags(
-      {"in", "rate", "shards", "tcp", "out", "wire-format", "ignore-controls",
-       "marker-log",
-       "chaos-seed", "chaos-fail", "chaos-disconnect", "chaos-stall",
-       "chaos-stall-ms", "retry-budget", "retry-backoff-ms",
-       "deliver-timeout-ms", "on-failure", "checkpoint-file",
-       "checkpoint-every", "checkpoint-generations", "resume-from",
-       "stop-after", "watchdog-ms", "crash-at", "fault-plan",
-       "telemetry-out", "telemetry-period-ms", "telemetry-sample",
-       "find-capacity", "slo-p99-ms", "capacity-start-rate",
-       "capacity-max-rate", "capacity-growth", "capacity-resolution",
-       "capacity-warmup-ms", "capacity-window-ms", "capacity-windows",
-       "capacity-confirm", "capacity-max-steps", "capacity-signal",
-       "frontier-out",
-       "connect-timeout-ms", "connect-attempts", "worker", "coordinator",
-       "worker-id", "dial-attempts", "heartbeat-ms", "epoch-wait-ms",
-       "backoff-seed", "help"});
-  if (!unknown.empty()) {
-    return Fail(Status::InvalidArgument("unknown flag --" + unknown[0]));
+  // A flag's default is what its destination holds before parsing.
+  std::string in;
+  std::string wire_name = "csv";
+  std::string tcp_spec;
+  std::string out_prefix;
+  std::string resume_from;
+  std::string marker_log;
+  std::string on_failure = "fail";
+  std::string crash_at;
+  std::string fault_plan_spec;
+  std::string telemetry_out;
+  std::string signal_name = "auto";
+  std::string frontier_out;
+  std::string coordinator_spec;
+  bool ignore_controls = false;
+  bool find_capacity = false;
+  bool worker_mode = false;
+  int connect_timeout_ms = 0;
+  int connect_attempts = 1;
+  ShardedReplayerOptions options;
+  options.total_rate_eps = 1000.0;
+  ChaosOptions chaos_options;
+  ResilientSinkOptions resilient_options;
+  WatchdogOptions watchdog_options;
+  watchdog_options.stall_deadline = Duration::Zero();  // no watchdog
+  RunTelemetryOptions telemetry_options;
+  SnapshotterOptions snapshot_options;
+  CapacityControllerOptions capacity_options;
+  capacity_options.search.max_rate_eps = 1e6;
+  ReplayWorkerOptions worker_options;
+
+  FlagTable flags("gt_replay");
+  flags.Add("in", &in);
+  flags.Add("wire-format", &wire_name);
+  flags.Add("rate", &options.total_rate_eps);
+  flags.Add("shards", &options.shards);
+  flags.Add("tcp", &tcp_spec);
+  flags.Add("connect-timeout-ms", &connect_timeout_ms);
+  flags.Add("connect-attempts", &connect_attempts);
+  flags.Add("ignore-controls", &ignore_controls);
+  flags.Add("marker-log", &marker_log);
+  flags.Add("chaos-seed", &chaos_options.seed);
+  flags.Add("chaos-fail", &chaos_options.fail_probability);
+  flags.Add("chaos-disconnect", &chaos_options.disconnect_probability);
+  flags.Add("chaos-stall", &chaos_options.stall_probability);
+  flags.AddMillis("chaos-stall-ms", &chaos_options.stall);
+  flags.Add("retry-budget", &resilient_options.retry_budget);
+  flags.AddMillis("retry-backoff-ms", &resilient_options.initial_backoff);
+  flags.AddMillis("deliver-timeout-ms", &resilient_options.deliver_timeout);
+  flags.Add("on-failure", &on_failure);
+  flags.Add("out", &out_prefix);
+  flags.Add("checkpoint-file", &options.checkpoint_path);
+  flags.Add("checkpoint-every", &options.checkpoint_every);
+  flags.Add("checkpoint-generations", &options.checkpoint_generations);
+  flags.Add("resume-from", &resume_from);
+  flags.Add("stop-after", &options.stop_after_events);
+  flags.AddMillis("watchdog-ms", &watchdog_options.stall_deadline);
+  flags.Add("crash-at", &crash_at);
+  flags.Add("fault-plan", &fault_plan_spec);
+  flags.Add("telemetry-out", &telemetry_out);
+  flags.AddMillis("telemetry-period-ms", &snapshot_options.period);
+  flags.Add("telemetry-sample", &telemetry_options.sample_every);
+  flags.Add("find-capacity", &find_capacity);
+  flags.Add("slo-p99-ms", &capacity_options.search.slo_p99_ms);
+  flags.Add("capacity-start-rate", &capacity_options.search.start_rate_eps);
+  flags.Add("capacity-max-rate", &capacity_options.search.max_rate_eps);
+  flags.Add("capacity-growth", &capacity_options.search.growth);
+  flags.Add("capacity-resolution", &capacity_options.search.resolution);
+  flags.AddMillis("capacity-warmup-ms", &capacity_options.warmup);
+  flags.AddMillis("capacity-window-ms", &capacity_options.window);
+  flags.Add("capacity-windows", &capacity_options.search.windows_per_step);
+  flags.Add("capacity-confirm", &capacity_options.search.confirm_violations);
+  flags.Add("capacity-max-steps", &capacity_options.search.max_steps);
+  flags.Add("capacity-signal", &signal_name);
+  flags.Add("frontier-out", &frontier_out);
+  flags.Add("worker", &worker_mode);
+  flags.Add("coordinator", &coordinator_spec);
+  flags.Add("worker-id", &worker_options.worker_id);
+  flags.Add("dial-attempts", &worker_options.dial_attempts);
+  flags.Add("heartbeat-ms", &worker_options.heartbeat_interval_ms);
+  flags.Add("epoch-wait-ms", &worker_options.epoch_wait_timeout_ms);
+  flags.Add("backoff-seed", &worker_options.backoff_seed);
+  if (auto exit_code = flags.ParseCommandLine(argc, argv)) return *exit_code;
+
+  // Scripted process faults: environment first (GT_FAULT_PLAN / GT_CRASH_AT
+  // — how a supervisor arms a child without touching its argv), then the
+  // explicit flags on top.
+  FaultPlan& fault_plan = FaultPlan::Global();
+  if (Status st = fault_plan.ConfigureFromFlags(fault_plan_spec, crash_at);
+      !st.ok()) {
+    return Fail(st);
   }
-  if (flags.GetBool("worker")) return RunWorkerMode(flags);
-  if (flags.GetBool("help")) {
-    std::printf(
-        "usage: gt_replay --in FILE --rate R [--shards N] [--tcp HOST:PORT | "
-        "--out PREFIX] [--wire-format csv|v2] [--ignore-controls] "
-        "[--marker-log FILE]\n"
-        "       [--chaos-seed S --chaos-fail P --chaos-disconnect P "
-        "--chaos-stall P --chaos-stall-ms M]\n"
-        "       [--retry-budget N --retry-backoff-ms M "
-        "--deliver-timeout-ms M --on-failure fail|drop|block]\n"
-        "       [--checkpoint-file FILE --checkpoint-every N "
-        "--checkpoint-generations N --resume-from FILE --stop-after N "
-        "--watchdog-ms M]\n"
-        "       [--crash-at POINT[:N] --fault-plan SPEC]\n"
-        "       [--telemetry-out FILE|- --telemetry-period-ms M "
-        "--telemetry-sample N]\n"
-        "       [--find-capacity --slo-p99-ms X --capacity-start-rate R "
-        "--capacity-max-rate R --capacity-growth G "
-        "--capacity-resolution F]\n"
-        "       [--capacity-warmup-ms M --capacity-window-ms M "
-        "--capacity-windows N --capacity-confirm N --capacity-max-steps N "
-        "--capacity-signal auto|marker|deliver --frontier-out FILE]\n");
-    return 0;
+  if (worker_mode) {
+    // A worker dials with a 2 s deadline unless told otherwise.
+    if (flags.Given("connect-timeout-ms")) {
+      worker_options.connect_timeout_ms = connect_timeout_ms;
+    }
+    return RunWorkerMode(coordinator_spec, worker_options);
   }
 
-  const std::string in = flags.GetString("in", "");
   if (in.empty()) return Fail(Status::InvalidArgument("--in is required"));
-  auto rate = flags.GetDouble("rate", 1000.0);
-  if (!rate.ok()) return Fail(rate.status());
-  auto shards_flag = flags.GetInt("shards", 1);
-  if (!shards_flag.ok()) return Fail(shards_flag.status());
-
-  const std::string wire_name = flags.GetString("wire-format", "csv");
   if (wire_name != "csv" && wire_name != "v2") {
     return Fail(
         Status::InvalidArgument("unknown --wire-format: " + wire_name));
   }
   const bool v2_wire = wire_name == "v2";
 
-  auto chaos_seed = flags.GetInt("chaos-seed", 1);
-  auto chaos_fail = flags.GetDouble("chaos-fail", 0.0);
-  auto chaos_disconnect = flags.GetDouble("chaos-disconnect", 0.0);
-  auto chaos_stall = flags.GetDouble("chaos-stall", 0.0);
-  auto chaos_stall_ms = flags.GetInt("chaos-stall-ms", 2);
-  auto retry_budget = flags.GetInt("retry-budget", 5);
-  auto retry_backoff_ms = flags.GetInt("retry-backoff-ms", 1);
-  auto deliver_timeout_ms = flags.GetInt("deliver-timeout-ms", 0);
-  auto checkpoint_every = flags.GetInt("checkpoint-every", 0);
-  auto checkpoint_generations = flags.GetInt("checkpoint-generations", 1);
-  auto stop_after = flags.GetInt("stop-after", 0);
-  auto watchdog_ms = flags.GetInt("watchdog-ms", 0);
-  auto telemetry_period_ms = flags.GetInt("telemetry-period-ms", 500);
-  auto telemetry_sample = flags.GetInt("telemetry-sample", 64);
-  auto connect_timeout_ms = flags.GetInt("connect-timeout-ms", 0);
-  auto connect_attempts = flags.GetInt("connect-attempts", 1);
-  for (const Status& st :
-       {chaos_seed.status(), chaos_fail.status(), chaos_disconnect.status(),
-        chaos_stall.status(), chaos_stall_ms.status(), retry_budget.status(),
-        retry_backoff_ms.status(), deliver_timeout_ms.status(),
-        checkpoint_every.status(), checkpoint_generations.status(),
-        stop_after.status(), watchdog_ms.status(),
-        telemetry_period_ms.status(), telemetry_sample.status(),
-        connect_timeout_ms.status(), connect_attempts.status()}) {
-    if (!st.ok()) return Fail(st);
+  // Closed-loop capacity search. The controller itself is built later,
+  // once the telemetry hub exists.
+  if (!flags.Given("capacity-start-rate")) {
+    capacity_options.search.start_rate_eps = options.total_rate_eps;
   }
-
-  // Closed-loop capacity search flags. The controller itself is built
-  // later, once the telemetry hub exists.
-  const bool find_capacity = flags.GetBool("find-capacity");
-  auto slo_p99_ms = flags.GetDouble("slo-p99-ms", 100.0);
-  auto capacity_start = flags.GetDouble("capacity-start-rate", *rate);
-  auto capacity_max = flags.GetDouble("capacity-max-rate", 1e6);
-  auto capacity_growth = flags.GetDouble("capacity-growth", 2.0);
-  auto capacity_resolution = flags.GetDouble("capacity-resolution", 0.05);
-  auto capacity_warmup_ms = flags.GetInt("capacity-warmup-ms", 300);
-  auto capacity_window_ms = flags.GetInt("capacity-window-ms", 500);
-  auto capacity_windows = flags.GetInt("capacity-windows", 3);
-  auto capacity_confirm = flags.GetInt("capacity-confirm", 2);
-  auto capacity_max_steps = flags.GetInt("capacity-max-steps", 32);
-  for (const Status& st :
-       {slo_p99_ms.status(), capacity_start.status(), capacity_max.status(),
-        capacity_growth.status(), capacity_resolution.status(),
-        capacity_warmup_ms.status(), capacity_window_ms.status(),
-        capacity_windows.status(), capacity_confirm.status(),
-        capacity_max_steps.status()}) {
-    if (!st.ok()) return Fail(st);
-  }
-  CapacityControllerOptions capacity_options;
-  capacity_options.search.slo_p99_ms = *slo_p99_ms;
-  capacity_options.search.start_rate_eps = *capacity_start;
-  capacity_options.search.growth = *capacity_growth;
-  capacity_options.search.max_rate_eps = *capacity_max;
-  capacity_options.search.resolution = *capacity_resolution;
-  capacity_options.search.windows_per_step =
-      static_cast<int>(*capacity_windows);
-  capacity_options.search.confirm_violations =
-      static_cast<int>(*capacity_confirm);
-  capacity_options.search.max_steps = static_cast<int>(*capacity_max_steps);
-  capacity_options.warmup = Duration::FromMillis(*capacity_warmup_ms);
-  capacity_options.window = Duration::FromMillis(*capacity_window_ms);
-  const std::string signal_name = flags.GetString("capacity-signal", "auto");
   if (signal_name == "marker") {
     capacity_options.signal = CapacityProbe::Signal::kMarker;
   } else if (signal_name == "deliver") {
@@ -379,75 +326,41 @@ int main(int argc, char** argv) {
     return Fail(
         Status::InvalidArgument("unknown --capacity-signal: " + signal_name));
   }
-  const std::string frontier_out = flags.GetString("frontier-out", "");
-
-  // Scripted process faults: environment first (GT_FAULT_PLAN / GT_CRASH_AT
-  // — how a supervisor arms a child without touching its argv), then the
-  // explicit flags on top.
-  FaultPlan& fault_plan = FaultPlan::Global();
-  if (Status st = ConfigureFaultPlan(flags); !st.ok()) return Fail(st);
 
   const bool chaos_enabled =
-      flags.Has("chaos-fail") || flags.Has("chaos-disconnect") ||
-      flags.Has("chaos-stall") || !fault_plan.delivery_fail_points().empty();
+      flags.Given("chaos-fail") || flags.Given("chaos-disconnect") ||
+      flags.Given("chaos-stall") || !fault_plan.delivery_fail_points().empty();
   const bool resilience_enabled =
-      chaos_enabled || flags.Has("retry-budget") ||
-      flags.Has("retry-backoff-ms") || flags.Has("deliver-timeout-ms") ||
-      flags.Has("on-failure");
-
-  ChaosOptions chaos_options;
-  chaos_options.seed = static_cast<uint64_t>(*chaos_seed);
-  chaos_options.fail_probability = *chaos_fail;
-  chaos_options.disconnect_probability = *chaos_disconnect;
-  chaos_options.stall_probability = *chaos_stall;
-  chaos_options.stall = Duration::FromMillis(*chaos_stall_ms);
+      chaos_enabled || flags.Given("retry-budget") ||
+      flags.Given("retry-backoff-ms") || flags.Given("deliver-timeout-ms") ||
+      flags.Given("on-failure");
   // Deterministic per-attempt fail points from the fault plan unify with
   // the probabilistic chaos schedule.
   chaos_options.fail_points = fault_plan.delivery_fail_points();
-
-  ResilientSinkOptions resilient_options;
-  resilient_options.retry_budget = static_cast<uint32_t>(*retry_budget);
-  resilient_options.initial_backoff = Duration::FromMillis(*retry_backoff_ms);
-  resilient_options.deliver_timeout =
-      Duration::FromMillis(*deliver_timeout_ms);
-  if (flags.Has("on-failure")) {
-    auto policy = ParseDegradationPolicy(flags.GetString("on-failure", ""));
-    if (!policy.ok()) return Fail(policy.status());
-    resilient_options.policy = *policy;
-  }
+  auto policy = ParseDegradationPolicy(on_failure);
+  if (!policy.ok()) return Fail(policy.status());
+  resilient_options.policy = *policy;
 
   CancellationToken cancel;
-  ShardedReplayerOptions options;
-  // Negative counts become 0, which the validator rejects by name.
-  options.shards = static_cast<size_t>(std::max<int64_t>(*shards_flag, 0));
   const size_t shards = options.shards;
-  options.total_rate_eps = *rate;
   options.wire_format = v2_wire ? WireFormat::kV2 : WireFormat::kCsv;
-  options.honor_control_events = !flags.GetBool("ignore-controls");
+  options.honor_control_events = !ignore_controls;
   options.cancel = &cancel;
-  options.checkpoint_path = flags.GetString("checkpoint-file", "");
-  options.checkpoint_every = static_cast<uint64_t>(*checkpoint_every);
-  options.checkpoint_generations =
-      static_cast<size_t>(std::max<int64_t>(*checkpoint_generations, 0));
-  options.stop_after_events = static_cast<uint64_t>(*stop_after);
   // File-backed output is the byte-exactness contract: checkpoints flush
   // the sinks and record per-shard byte offsets.
-  const std::string out_prefix = flags.GetString("out", "");
   options.record_sink_bytes = !out_prefix.empty();
 
-  const std::string tcp_spec = flags.GetString("tcp", "");
   HostPort tcp_endpoint;
   if (!tcp_spec.empty()) {
     auto parsed = ParseHostPort(tcp_spec, "tcp");
     if (!parsed.ok()) return Fail(parsed.status());
     tcp_endpoint = *parsed;
   }
-  const std::string resume_from = flags.GetString("resume-from", "");
   ReplaySinkPlan sink_plan;
   sink_plan.tcp = !tcp_spec.empty();
   sink_plan.files = !out_prefix.empty();
   sink_plan.decorated = chaos_enabled || resilience_enabled;
-  sink_plan.chaos_disconnect = *chaos_disconnect > 0.0;
+  sink_plan.chaos_disconnect = chaos_options.disconnect_probability > 0.0;
   sink_plan.resume = !resume_from.empty();
   if (Status st = ValidateReplayConfig(options, sink_plan); !st.ok()) {
     return Fail(st);
@@ -516,8 +429,8 @@ int main(int argc, char** argv) {
     if (!tcp_spec.empty()) {
       tcp_sinks.push_back(std::make_unique<TcpSink>());
       tcp = tcp_sinks.back().get();
-      tcp->set_connect_timeout_ms(static_cast<int>(*connect_timeout_ms));
-      tcp->set_connect_attempts(static_cast<int>(*connect_attempts));
+      tcp->set_connect_timeout_ms(connect_timeout_ms);
+      tcp->set_connect_attempts(connect_attempts);
       if (Status st = tcp->Connect(tcp_endpoint.host, tcp_endpoint.port);
           !st.ok()) {
         return Fail(st.WithContext("shard " + std::to_string(s)));
@@ -562,7 +475,6 @@ int main(int argc, char** argv) {
   }
 
   // Live telemetry: hub + background JSONL snapshotter.
-  const std::string telemetry_out = flags.GetString("telemetry-out", "");
   std::unique_ptr<RunTelemetry> telemetry;
   std::FILE* telemetry_file = nullptr;
   std::optional<TelemetrySnapshotter> snapshotter;
@@ -577,26 +489,20 @@ int main(int argc, char** argv) {
                                    "signal (every window reads as idle)"
                                  : "");
     }
-    RunTelemetryOptions topt;
-    topt.shards = shards;
-    topt.sample_every = static_cast<uint32_t>(
-        *telemetry_sample > 0 ? *telemetry_sample : 1);
-    telemetry = std::make_unique<RunTelemetry>(topt);
+    telemetry_options.shards = shards;
+    telemetry = std::make_unique<RunTelemetry>(telemetry_options);
   }
   if (!telemetry_out.empty()) {
-    SnapshotterOptions sopt;
-    sopt.period = Duration::FromMillis(
-        *telemetry_period_ms > 0 ? *telemetry_period_ms : 500);
     if (telemetry_out == "-") {
-      sopt.out = stderr;
+      snapshot_options.out = stderr;
     } else {
       telemetry_file = std::fopen(telemetry_out.c_str(), "w");
       if (telemetry_file == nullptr) {
         return Fail(Status::IoError("cannot create " + telemetry_out));
       }
-      sopt.out = telemetry_file;
+      snapshot_options.out = telemetry_file;
     }
-    snapshotter.emplace(telemetry.get(), sopt);
+    snapshotter.emplace(telemetry.get(), snapshot_options);
   }
   if (telemetry != nullptr && resume.has_value()) {
     RecoveryCounters rec;
@@ -617,12 +523,8 @@ int main(int argc, char** argv) {
   options.telemetry = telemetry.get();
   ShardedReplayer replayer(options);
 
-  RunWatchdog watchdog([&] {
-    WatchdogOptions w;
-    if (*watchdog_ms > 0) w.stall_deadline = Duration::FromMillis(*watchdog_ms);
-    return w;
-  }());
-  if (*watchdog_ms > 0) {
+  RunWatchdog watchdog(watchdog_options);
+  if (watchdog_options.stall_deadline > Duration::Zero()) {
     watchdog.Arm([&replayer] { return replayer.progress(); },
                  [&cancel, &tcp_sinks](uint64_t last, Duration stalled) {
                    cancel.RequestCancel("watchdog: no progress past event " +
@@ -755,7 +657,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string marker_log = flags.GetString("marker-log", "");
   if (!marker_log.empty() && stats.ok()) {
     std::FILE* f = std::fopen(marker_log.c_str(), "w");
     if (f == nullptr) {

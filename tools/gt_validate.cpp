@@ -57,28 +57,23 @@ int Fail(const Status& status) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags_or = Flags::Parse(argc, argv);
-  if (!flags_or.ok()) return Fail(flags_or.status());
-  const Flags& flags = *flags_or;
-  const auto unknown = flags.UnknownFlags({"in", "max-violations", "quiet",
-                                           "strict", "telemetry", "frontier",
-                                           "help"});
-  if (!unknown.empty()) {
-    return Fail(Status::InvalidArgument("unknown flag --" + unknown[0]));
-  }
-  if (flags.GetBool("help")) {
-    std::printf("usage: gt_validate --in FILE [--max-violations N] "
-                "[--quiet] [--strict | --telemetry | --frontier]\n");
-    return 0;
-  }
-
-  const std::string in = flags.GetString("in", "");
+  std::string in;
+  size_t max_violations = 10;
+  bool quiet = false;
+  bool strict = false;
+  bool telemetry = false;
+  bool frontier = false;
+  FlagTable flags("gt_validate");
+  flags.Add("in", &in);
+  flags.Add("max-violations", &max_violations);
+  flags.Add("quiet", &quiet);
+  flags.Add("strict", &strict);
+  flags.Add("telemetry", &telemetry);
+  flags.Add("frontier", &frontier);
+  if (auto exit_code = flags.ParseCommandLine(argc, argv)) return *exit_code;
   if (in.empty()) return Fail(Status::InvalidArgument("--in is required"));
 
-  auto max_violations = flags.GetInt("max-violations", 10);
-  if (!max_violations.ok()) return Fail(max_violations.status());
-
-  if (flags.GetBool("frontier")) {
+  if (frontier) {
     std::ifstream file(in);
     if (!file.good()) return Fail(Status::IoError("cannot read " + in));
     std::string text((std::istreambuf_iterator<char>(file)),
@@ -107,7 +102,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (flags.GetBool("telemetry")) {
+  if (telemetry) {
     std::ifstream file(in);
     if (!file.good()) return Fail(Status::IoError("cannot read " + in));
     size_t problems = 0;
@@ -117,9 +112,8 @@ int main(int argc, char** argv) {
     uint64_t last_events = 0;
     std::string line;
     TelemetrySnapshot last;
-    const size_t max_report = static_cast<size_t>(*max_violations);
     auto complain = [&](const std::string& what) {
-      if (problems < max_report) {
+      if (problems < max_violations) {
         std::printf("  line %zu: %s\n", lines, what.c_str());
       }
       ++problems;
@@ -199,7 +193,7 @@ int main(int argc, char** argv) {
   auto in_format = DetectStreamFormat(in);
   if (!in_format.ok()) return Fail(in_format.status());
 
-  if (flags.GetBool("strict")) {
+  if (strict) {
     if (*in_format == StreamFormat::kV2) {
       // v2 strict scan: record-by-record through the checksummed block
       // reader; preconditions checked incrementally. A framing/CRC error
@@ -264,9 +258,9 @@ int main(int argc, char** argv) {
   if (!events.ok()) return Fail(events.status());
 
   const StreamValidationReport report =
-      ValidateStream(*events, static_cast<size_t>(*max_violations));
+      ValidateStream(*events, max_violations);
 
-  if (!flags.GetBool("quiet")) {
+  if (!quiet) {
     std::printf("%s\n", ComputeStreamStatistics(*events).ToString().c_str());
   }
   if (report.valid()) {
@@ -274,9 +268,8 @@ int main(int argc, char** argv) {
                 report.events_checked);
     return 0;
   }
-  std::printf("gt_validate: %zu violation(s) (showing up to %lld):\n",
-              report.violations.size(),
-              static_cast<long long>(*max_violations));
+  std::printf("gt_validate: %zu violation(s) (showing up to %zu):\n",
+              report.violations.size(), max_violations);
   for (const StreamViolation& v : report.violations) {
     std::printf("  event %zu: %s  [%s]\n", v.index, v.reason.c_str(),
                 v.event.ToCsvLine().c_str());
