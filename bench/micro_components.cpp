@@ -18,6 +18,7 @@
 #include "replayer/rate_controller.h"
 #include "replayer/spsc_queue.h"
 #include "stream/event.h"
+#include "stream/event_view.h"
 #include "stream/stream_file.h"
 
 namespace graphtides {
@@ -62,6 +63,23 @@ void BM_EventParse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventParse);
+
+// The replay decode thread's parser on the two line shapes of a
+// saturate-csv stream: an unquoted edge and a JSON state whose quotes the
+// CSV rendering doubles.
+void BM_EventParseView(benchmark::State& state) {
+  const std::string line =
+      state.range(0) == 0
+          ? Event::AddEdge(123456, 654321).ToCsvLine()
+          : Event::UpdateVertex(4355, R"({"v":4355,"r":1})").ToCsvLine();
+  std::string scratch;
+  for (auto _ : state) {
+    auto parsed = ParseEventLineView(line, &scratch);
+    benchmark::DoNotOptimize(parsed);
+  }
+  state.SetLabel(line);
+}
+BENCHMARK(BM_EventParseView)->Arg(0)->Arg(1);
 
 void BM_GraphApplyStream(benchmark::State& state) {
   const std::vector<Event> events = SocialStream(20000);

@@ -99,7 +99,6 @@ class OnlinePageRankCore {
   size_t ProcessPushes(size_t max_pushes, EmitRemote&& emit_remote);
 
   bool HasPendingWork() const { return !queue_.empty(); }
-  size_t pending_pushes() const { return queue_.size(); }
 
   // --- Results ------------------------------------------------------------
 

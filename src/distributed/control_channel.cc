@@ -65,9 +65,7 @@ Status ControlChannel::Send(const Frame& frame) {
   }
   size_t written = 0;
   while (written < bytes.size()) {
-    if (send_timeout_ms_ > 0) {
-      GT_RETURN_NOT_OK(PollFor(fd_, POLLOUT, send_timeout_ms_));
-    }
+    GT_RETURN_NOT_OK(PollFor(fd_, POLLOUT, kSendTimeoutMs));
     const ssize_t n = ::send(fd_, bytes.data() + written,
                              bytes.size() - written, MSG_NOSIGNAL);
     if (n < 0) {

@@ -36,8 +36,7 @@ class ControlChannel {
   ControlChannel& operator=(const ControlChannel&) = delete;
 
   /// \brief Encodes and writes one frame. IoError once the peer is gone;
-  /// send deadline `send_timeout_ms` (0 = block) bounds a peer that
-  /// stopped reading.
+  /// a 10 s deadline (kSendTimeoutMs) bounds a peer that stopped reading.
   Status Send(const Frame& frame);
 
   /// \brief Waits up to `timeout_ms` for the next complete frame
@@ -49,20 +48,14 @@ class ControlChannel {
   /// Thread-safe: unblocks any Send/Receive in flight with an error.
   void Shutdown();
 
-  /// Send deadline applied to every later Send (0 = block, default 10 s —
-  /// a control frame that cannot be written for 10 s means the peer is
-  /// effectively dead).
-  void set_send_timeout_ms(int ms) { send_timeout_ms_ = ms; }
-
-  bool shutdown_requested() const {
-    return shutdown_.load(std::memory_order_acquire);
-  }
-
  private:
   explicit ControlChannel(int fd) : fd_(fd) {}
 
+  /// A control frame that cannot be written for 10 s means the peer is
+  /// effectively dead: every Send polls with this deadline.
+  static constexpr int kSendTimeoutMs = 10000;
+
   int fd_ = -1;
-  int send_timeout_ms_ = 10000;
   std::mutex send_mu_;
   FrameDecoder decoder_;
   std::atomic<bool> shutdown_{false};

@@ -96,7 +96,6 @@ void PeriodicProcessLogger::Run(Duration interval) {
     if (sample.ok()) {
       logger_->Log("cpu", sample->cpu_percent);
       logger_->Log("rss", static_cast<double>(sample->rss_bytes));
-      samples_.fetch_add(1, std::memory_order_relaxed);
     }
     // Sleep in small slices so Stop() is responsive.
     const int64_t slices = std::max<int64_t>(1, interval.millis() / 10);

@@ -68,17 +68,12 @@ class PeriodicProcessLogger {
 
   void Stop();
 
-  size_t samples_taken() const {
-    return samples_.load(std::memory_order_relaxed);
-  }
-
  private:
   void Run(Duration interval);
 
   ProcessMonitor monitor_;
   MetricsLogger* logger_;
   std::atomic<bool> stop_{false};
-  std::atomic<size_t> samples_{0};
   std::thread thread_;
 };
 

@@ -57,8 +57,6 @@ class SimProcess {
   /// Accumulated dead time (closed downtimes only).
   Duration downtime() const { return downtime_; }
 
-  /// First moment at which newly submitted work could start.
-  Timestamp free_at() const { return busy_until_; }
   /// Queue-delay a new submission would currently experience.
   Duration Backlog() const;
 

@@ -5,60 +5,7 @@
 #include <cstring>
 #include <limits>
 
-#include "common/csv.h"
-#include "common/string_util.h"
-
 namespace graphtides {
-
-namespace event_internal {
-
-Status UnknownCommand(std::string_view name) {
-  std::string message = "unknown command: '";
-  message.append(name).append("'");
-  return Status::ParseError(std::move(message));
-}
-
-Status EdgeIdMissingDash(std::string_view s) {
-  return Status::ParseError("edge id missing '-': '" + std::string(s) + "'");
-}
-
-}  // namespace event_internal
-
-bool IsGraphOp(EventType type) {
-  return static_cast<uint8_t>(type) <=
-         static_cast<uint8_t>(EventType::kUpdateEdge);
-}
-
-bool IsTopologyChange(EventType type) {
-  return type == EventType::kAddVertex || type == EventType::kRemoveVertex ||
-         type == EventType::kAddEdge || type == EventType::kRemoveEdge;
-}
-
-bool IsStateUpdate(EventType type) {
-  return type == EventType::kUpdateVertex || type == EventType::kUpdateEdge;
-}
-
-bool IsVertexOp(EventType type) {
-  return type == EventType::kAddVertex || type == EventType::kRemoveVertex ||
-         type == EventType::kUpdateVertex;
-}
-
-bool IsEdgeOp(EventType type) {
-  return type == EventType::kAddEdge || type == EventType::kRemoveEdge ||
-         type == EventType::kUpdateEdge;
-}
-
-bool IsControl(EventType type) {
-  return type == EventType::kSetRate || type == EventType::kPause;
-}
-
-bool IsAddOp(EventType type) {
-  return type == EventType::kAddVertex || type == EventType::kAddEdge;
-}
-
-bool IsRemoveOp(EventType type) {
-  return type == EventType::kRemoveVertex || type == EventType::kRemoveEdge;
-}
 
 Event Event::AddVertex(VertexId id, std::string state) {
   Event e;
@@ -289,56 +236,6 @@ void AppendEventLine(const Event& event, std::string* out) {
                                     event.payload, event.rate_factor,
                                     event.pause, out);
   out->push_back('\n');
-}
-
-Result<Event> ParseEventLine(std::string_view line) {
-  const std::string_view trimmed = TrimWhitespace(line);
-  if (trimmed.empty() || trimmed.front() == '#') {
-    return Status::NotFound("blank or comment line");
-  }
-  GT_ASSIGN_OR_RETURN(const std::vector<std::string> fields,
-                      ParseCsvLine(trimmed));
-  if (fields.size() != 3) {
-    return Status::ParseError("expected 3 fields, got " +
-                              std::to_string(fields.size()));
-  }
-  GT_ASSIGN_OR_RETURN(const EventType type, EventTypeFromName(fields[0]));
-
-  Event e;
-  e.type = type;
-  switch (type) {
-    case EventType::kAddVertex:
-    case EventType::kUpdateVertex:
-    case EventType::kRemoveVertex: {
-      GT_ASSIGN_OR_RETURN(e.vertex, ParseUint64(fields[1]));
-      e.payload = fields[2];
-      break;
-    }
-    case EventType::kAddEdge:
-    case EventType::kUpdateEdge:
-    case EventType::kRemoveEdge: {
-      GT_ASSIGN_OR_RETURN(e.edge, ParseEdgeId(fields[1]));
-      e.payload = fields[2];
-      break;
-    }
-    case EventType::kMarker:
-      e.payload = fields[2];
-      break;
-    case EventType::kSetRate: {
-      GT_ASSIGN_OR_RETURN(e.rate_factor, ParseDouble(fields[2]));
-      if (e.rate_factor <= 0.0) {
-        return Status::ParseError("rate factor must be positive");
-      }
-      break;
-    }
-    case EventType::kPause: {
-      GT_ASSIGN_OR_RETURN(const int64_t ms, ParseInt64(fields[2]));
-      if (ms < 0) return Status::ParseError("pause must be non-negative");
-      e.pause = Duration::FromMillis(ms);
-      break;
-    }
-  }
-  return e;
 }
 
 std::ostream& operator<<(std::ostream& os, const Event& e) {

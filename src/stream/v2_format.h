@@ -140,10 +140,6 @@ class V2BlockEncoder {
     return count_ >= kV2RecordsPerBlock ||
            trailer_.size() >= kV2TrailerSealBytes;
   }
-  /// Bytes the sealed block will occupy (header + records + trailer).
-  size_t sealed_bytes() const {
-    return kV2BlockHeaderBytes + records_.size() + trailer_.size();
-  }
 
   /// Appends the sealed block (header ‖ records ‖ trailer) to *out and
   /// resets the encoder. No-op on an empty encoder.

@@ -59,9 +59,6 @@ class V2StreamReader {
   /// not recoverable: after a ParseError the reader is poisoned.
   Result<std::optional<EventView>> Next();
 
-  /// 1-based number of the last record decoded.
-  uint64_t record_number() const { return record_number_; }
-
  private:
   Status LoadNextBlock();
   void CloseFile();

@@ -72,7 +72,6 @@ void RecoverableConnector::Crash() {
 void RecoverableConnector::Recover() {
   if (!crashed_) return;
   crashed_ = false;
-  downtime_ += sim_->Now() - crashed_at_;
   inner_ = factory_(sim_);
   last_recovery_journal_ = journal_.size();
   last_recovered_at_ = sim_->Now();

@@ -50,7 +50,6 @@ class RecoverableConnector final : public SuiteConnector {
   /// Journal length at the last Recover() — the rebuild workload.
   uint64_t last_recovery_journal() const { return last_recovery_journal_; }
   Timestamp last_recovered_at() const { return last_recovered_at_; }
-  Duration total_downtime() const { return downtime_; }
   /// The live SUT's raw applied counter (resets across restarts) — used to
   /// detect catch-up; EventsApplied() stays monotone for watermarks.
   uint64_t inner_applied() const;
@@ -67,7 +66,6 @@ class RecoverableConnector final : public SuiteConnector {
   std::vector<Event> journal_;
   bool crashed_ = false;
   Timestamp crashed_at_;
-  Duration downtime_;
   uint64_t crashes_ = 0;
   uint64_t lost_events_ = 0;
   uint64_t last_recovery_journal_ = 0;

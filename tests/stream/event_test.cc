@@ -9,15 +9,18 @@ TEST(EventTypeTest, NamesRoundTrip) {
   for (int i = 0; i <= static_cast<int>(EventType::kPause); ++i) {
     const EventType type = static_cast<EventType>(i);
     auto parsed = EventTypeFromName(EventTypeName(type));
-    ASSERT_TRUE(parsed.ok()) << EventTypeName(type);
+    ASSERT_TRUE(parsed.has_value()) << EventTypeName(type);
     EXPECT_EQ(*parsed, type);
   }
 }
 
 TEST(EventTypeTest, UnknownNameIsParseError) {
-  EXPECT_FALSE(EventTypeFromName("FROB_VERTEX").ok());
-  EXPECT_FALSE(EventTypeFromName("").ok());
-  EXPECT_FALSE(EventTypeFromName("create_vertex").ok());  // case-sensitive
+  EXPECT_FALSE(EventTypeFromName("FROB_VERTEX").has_value());
+  EXPECT_FALSE(EventTypeFromName("").has_value());
+  EXPECT_FALSE(EventTypeFromName("create_vertex").has_value());  // case-sensitive
+  const Status status = ParseEventLine("FROB_VERTEX,1,").status();
+  EXPECT_TRUE(status.IsParseError());
+  EXPECT_EQ(status.message(), "unknown command: 'FROB_VERTEX'");
 }
 
 TEST(EventTypeTest, Classification) {
