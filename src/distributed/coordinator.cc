@@ -113,6 +113,8 @@ Status ValidateCoordinatorOptions(const CoordinatorOptions& options) {
   replay.checkpoint_path = options.checkpoint_prefix;
   replay.checkpoint_generations = options.checkpoint_generations;
   replay.honor_control_events = options.honor_controls;
+  GT_RETURN_NOT_OK(ValidateReplayHarness(
+      {.telemetry_period = Duration::FromMillis(options.telemetry_every_ms)}));
   return ValidateReplayConfig(replay, {.files = true});
 }
 

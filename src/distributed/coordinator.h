@@ -110,7 +110,8 @@ struct FleetReport {
 };
 
 /// \brief OK when `options` describe a fleet the coordinator can run: the
-/// required inputs are set, and the replay options it deals pass
+/// required inputs are set, the telemetry period passes
+/// ValidateReplayHarness, and the replay options it deals pass
 /// ValidateReplayConfig, so a bad rate or checkpoint setting is rejected
 /// before any worker dials in instead of inside every worker.
 Status ValidateCoordinatorOptions(const CoordinatorOptions& options);

@@ -61,4 +61,21 @@ Status ValidateReplayConfig(const ShardedReplayerOptions& options,
   return Status::OK();
 }
 
+Status ValidateReplayHarness(const ReplayHarnessPlan& plan) {
+  if (plan.telemetry_period <= Duration::Zero()) {
+    return Status::InvalidArgument("--telemetry-period-ms must be positive");
+  }
+  if (plan.telemetry_sample == 0) {
+    return Status::InvalidArgument("--telemetry-sample must be >= 1");
+  }
+  if (plan.watchdog < Duration::Zero()) {
+    return Status::InvalidArgument(
+        "--watchdog-ms must be >= 0 (0 disables the watchdog)");
+  }
+  if (plan.chaos_stall < Duration::Zero()) {
+    return Status::InvalidArgument("--chaos-stall-ms must be >= 0");
+  }
+  return Status::OK();
+}
+
 }  // namespace graphtides

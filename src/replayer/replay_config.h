@@ -8,6 +8,9 @@
 #ifndef GRAPHTIDES_REPLAYER_REPLAY_CONFIG_H_
 #define GRAPHTIDES_REPLAYER_REPLAY_CONFIG_H_
 
+#include <cstdint>
+
+#include "common/clock.h"
 #include "common/status.h"
 #include "replayer/sharded_replayer.h"
 
@@ -34,6 +37,24 @@ struct ReplaySinkPlan {
 /// else InvalidArgument naming the first rule it breaks.
 Status ValidateReplayConfig(const ShardedReplayerOptions& options,
                             const ReplaySinkPlan& sinks);
+
+/// \brief The monitors and faults a tool runs around the lanes. A period or
+/// sample rate of 0 would be replaced by a default, and a negative
+/// duration would read as "off", so both are refused instead.
+struct ReplayHarnessPlan {
+  /// Between telemetry snapshots (--telemetry-period-ms); must be > 0.
+  Duration telemetry_period = Duration::FromMillis(500);
+  /// One in this many events is timed (--telemetry-sample); must be >= 1.
+  uint32_t telemetry_sample = 1;
+  /// Stall deadline (--watchdog-ms); 0 runs no watchdog.
+  Duration watchdog = Duration::Zero();
+  /// Length of an injected stall (--chaos-stall-ms).
+  Duration chaos_stall = Duration::Zero();
+};
+
+/// \brief OK when every setting of `plan` is used as given, else
+/// InvalidArgument naming the flag that sets the first one that is not.
+Status ValidateReplayHarness(const ReplayHarnessPlan& plan);
 
 }  // namespace graphtides
 
