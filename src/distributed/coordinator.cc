@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <thread>
 #include <utility>
@@ -11,26 +12,25 @@
 #include "common/fault_plan.h"
 #include "common/random.h"
 #include "distributed/backoff.h"
-#include "harness/run_watchdog.h"
 #include "harness/telemetry/snapshot.h"
 #include "replayer/replay_config.h"
 
 namespace graphtides {
 
-/// One accepted control connection. The reader thread and the watchdog
-/// reference the Conn by raw pointer, so Conns are never erased while the
-/// coordinator runs — dead ones are only flagged.
+/// One accepted control connection. The reader thread references the
+/// Conn by raw pointer, so Conns are never erased while the coordinator
+/// runs — dead ones are only flagged.
 struct Coordinator::Conn {
   uint64_t id = 0;
   std::unique_ptr<ControlChannel> channel;
   std::thread reader;
-  std::unique_ptr<RunWatchdog> watchdog;
-  /// Frames received — the watchdog's progress probe (worker heartbeats
-  /// keep it advancing even when a range is idle at a barrier).
-  std::atomic<uint64_t> frames{0};
   // Main-loop-only state below.
   std::string worker;
   bool dead = false;
+  /// When the main loop last handled a frame from this connection, or
+  /// first saw it; worker heartbeats keep it fresh even when a range is
+  /// idle at a barrier. Unset until the main loop first sees the Conn.
+  std::optional<Timestamp> last_heard;
 };
 
 /// One dealt shard range and its recovery bookkeeping (main loop only).
@@ -53,7 +53,7 @@ struct Coordinator::RangeState {
 };
 
 struct Coordinator::Msg {
-  enum Kind { kFrame, kClosed, kHung } kind = kFrame;
+  enum Kind { kFrame, kClosed } kind = kFrame;
   uint64_t conn_id = 0;
   Frame frame;
   Status status = Status::OK();
@@ -137,7 +137,6 @@ void Coordinator::ShutdownFleet() {
   std::lock_guard<std::mutex> lock(conns_mu_);
   for (auto& [id, conn] : conns_) {
     conn->channel->Shutdown();
-    if (conn->watchdog) conn->watchdog->Disarm();
     if (conn->reader.joinable()) conn->reader.join();
   }
 }
@@ -165,19 +164,6 @@ void Coordinator::AcceptLoop() {
       raw->channel = std::move(*channel_or);
       conns_.emplace(raw->id, std::move(conn));
     }
-    WatchdogOptions wd;
-    wd.stall_deadline =
-        Duration::FromMillis(options_.heartbeat_timeout_ms);
-    wd.poll_interval = Duration::FromMillis(
-        std::max(10, options_.heartbeat_timeout_ms / 10));
-    raw->watchdog = std::make_unique<RunWatchdog>(wd);
-    raw->watchdog->Arm([raw] { return raw->frames.load(); },
-                       [this, raw](uint64_t, Duration) {
-                         Msg msg;
-                         msg.kind = Msg::kHung;
-                         msg.conn_id = raw->id;
-                         PostMsg(std::move(msg));
-                       });
     raw->reader = std::thread([this, raw] { ReadLoop(raw); });
   }
 }
@@ -194,7 +180,6 @@ void Coordinator::ReadLoop(Conn* conn) {
       PostMsg(std::move(msg));
       return;
     }
-    conn->frames.fetch_add(1);
     Msg msg;
     msg.kind = Msg::kFrame;
     msg.conn_id = conn->id;
@@ -303,6 +288,24 @@ Result<FleetReport> Coordinator::RunLoop() {
                         static_cast<double>(n);
   };
 
+  // Connections silent for the heartbeat timeout, measured from the last
+  // frame the main loop handled from each (or from when it first saw it).
+  auto silent_conns = [&](Timestamp now) {
+    const Duration timeout =
+        Duration::FromMillis(options_.heartbeat_timeout_ms);
+    std::vector<uint64_t> silent;
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    for (auto& [id, conn] : conns_) {
+      if (conn->dead) continue;
+      if (!conn->last_heard) {
+        conn->last_heard = now;
+      } else if (now - *conn->last_heard >= timeout) {
+        silent.push_back(id);
+      }
+    }
+    return silent;
+  };
+
   auto mark_dead = [&](uint64_t conn_id, const std::string& why) {
     Conn* conn = conn_by_id(conn_id);
     if (conn == nullptr || conn->dead) return;
@@ -358,7 +361,7 @@ Result<FleetReport> Coordinator::RunLoop() {
   auto broadcast = [&](const Frame& frame) {
     for (Conn* conn : live_conns()) {
       if (!conn->channel->Send(frame).ok()) {
-        // The reader/watchdog will surface the loss; nothing to do here.
+        // The reader or the heartbeat check will surface the loss.
       }
     }
   };
@@ -391,6 +394,7 @@ Result<FleetReport> Coordinator::RunLoop() {
   auto handle_frame = [&](uint64_t conn_id, const Frame& frame) {
     Conn* conn = conn_by_id(conn_id);
     if (conn == nullptr || conn->dead) return;
+    conn->last_heard = clock.Now();
     if (frame.type == FrameType::kHello) {
       conn->worker = frame.Get("worker", "worker-" + std::to_string(conn_id));
       worker_names.insert(conn->worker);
@@ -512,13 +516,12 @@ Result<FleetReport> Coordinator::RunLoop() {
         case Msg::kClosed:
           mark_dead(msg.conn_id, "connection lost: " + msg.status.ToString());
           break;
-        case Msg::kHung:
-          mark_dead(msg.conn_id,
-                    "heartbeat timeout after " +
-                        std::to_string(options_.heartbeat_timeout_ms) +
-                        " ms");
-          break;
       }
+    }
+    for (uint64_t conn_id : silent_conns(clock.Now())) {
+      mark_dead(conn_id, "heartbeat timeout after " +
+                             std::to_string(options_.heartbeat_timeout_ms) +
+                             " ms");
     }
 
     // Initial deal: wait for the configured fleet, then round-robin.

@@ -1,7 +1,7 @@
 // Fleet coordinator (`gt_coordinator`): accepts replay workers, deals
 // disjoint shard ranges, drives the cross-process epoch barrier as a
 // watermark broadcast, merges per-range telemetry losslessly, and — the
-// robustness core — detects worker death or hang via heartbeat watchdogs
+// robustness core — detects worker death (EOF) or hang (heartbeat timeout)
 // and reassigns the dead worker's range to a survivor (or a respawned
 // worker), which resumes byte-exactly from the range's last durable
 // checkpoint. MTTR is measured from death detection to the first frame
@@ -55,8 +55,9 @@ struct CoordinatorOptions {
   std::string out_prefix;
   bool honor_controls = true;
 
-  /// A worker with no frames for this long is declared dead (RunWatchdog
-  /// stall deadline over the per-connection frame counter).
+  /// A connection with no frames for this long is declared dead. The main
+  /// loop checks it every tick against the time it last handled a frame
+  /// from that connection, so detection lags by about one tick_ms.
   int heartbeat_timeout_ms = 2000;
   /// Main-loop cadence: reassignment scans and telemetry emission.
   int tick_ms = 100;

@@ -1,6 +1,6 @@
 #include "harness/capacity/capacity_controller.h"
 
-#include <chrono>
+#include <utility>
 
 namespace graphtides {
 
@@ -61,8 +61,6 @@ CapacityController::CapacityController(
   }
 }
 
-CapacityController::~CapacityController() { Stop(); }
-
 void CapacityController::BeginStep(Timestamp now) {
   rate_target_.store(search_.current_rate_eps(), std::memory_order_relaxed);
   stage_ = Stage::kWarmup;
@@ -98,21 +96,16 @@ bool CapacityController::Poll(Timestamp now) {
 }
 
 void CapacityController::Start(CancellationToken* cancel) {
-  thread_ = std::thread([this, cancel] {
-    while (!stop_.load(std::memory_order_acquire) && !cancel->cancelled()) {
-      if (Poll(clock_->Now())) {
-        cancel->RequestCancel("capacity search complete");
-        return;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-  });
+  auto poll = [this, cancel] {
+    if (cancel->cancelled()) return true;
+    if (!Poll(clock_->Now())) return false;
+    cancel->RequestCancel("capacity search complete");
+    return true;
+  };
+  if (!poll()) poller_.Start(Duration::FromMillis(10), std::move(poll));
 }
 
-void CapacityController::Stop() {
-  stop_.store(true, std::memory_order_release);
-  if (thread_.joinable()) thread_.join();
-}
+void CapacityController::Stop() { poller_.Stop(); }
 
 FrontierArtifact CapacityController::Artifact(
     const std::string& sut, const std::string& workload) const {

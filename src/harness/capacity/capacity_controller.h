@@ -9,8 +9,8 @@
 // transient is never measured), then measures back-to-back windows of
 // `window` until the search concludes the step. The loop is Poll(now): one
 // non-blocking step against a caller-supplied time, so a unit test drives
-// a whole search on a VirtualClock. Start() runs Poll every 10 ms on a
-// thread of its own; when the search concludes that thread fires the
+// a whole search on a VirtualClock. Start() runs Poll once, then every
+// 10 ms on a PollThread; when the search concludes that thread fires the
 // replay's cancellation token — for a capacity run that cancellation is
 // the success path, which concluded() tells apart from any other cancel.
 #ifndef GRAPHTIDES_HARNESS_CAPACITY_CAPACITY_CONTROLLER_H_
@@ -18,7 +18,6 @@
 
 #include <atomic>
 #include <string>
-#include <thread>
 
 #include "common/cancellation.h"
 #include "common/clock.h"
@@ -26,6 +25,7 @@
 #include "harness/capacity/capacity_search.h"
 #include "harness/capacity/frontier.h"
 #include "harness/capacity/window_probe.h"
+#include "harness/poll_thread.h"
 #include "harness/telemetry/run_telemetry.h"
 
 namespace graphtides {
@@ -51,7 +51,6 @@ class CapacityController {
   /// controller.
   CapacityController(const CapacityControllerOptions& options,
                      const RunTelemetry* telemetry, const Clock* clock);
-  ~CapacityController();
 
   CapacityController(const CapacityController&) = delete;
   CapacityController& operator=(const CapacityController&) = delete;
@@ -66,9 +65,10 @@ class CapacityController {
   /// the search has concluded.
   bool Poll(Timestamp now);
 
-  /// Polls every 10 ms on a thread of its own until the search concludes,
-  /// then fires `cancel`; also stops early once `cancel` fired for any
-  /// other reason. `cancel` must outlive Stop().
+  /// Polls once on the calling thread, then every 10 ms on a thread of its
+  /// own, until the search concludes, then fires `cancel`; also stops
+  /// early once `cancel` fired for any other reason. `cancel` must outlive
+  /// Stop().
   void Start(CancellationToken* cancel);
   /// Stops and joins the polling thread (the replay has ended). A search
   /// cut short here leaves the artifact incomplete.
@@ -98,8 +98,8 @@ class CapacityController {
   Stage stage_ = Stage::kIdle;
   Timestamp deadline_;
 
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
+  // Last, so that it is joined before the state its poll reads goes away.
+  PollThread poller_;
 };
 
 }  // namespace graphtides

@@ -35,8 +35,6 @@ MarkerCorrelationReport CorrelateMarkers(const ResultLog& log,
                    });
 
   StreamingCorrelatorOptions options;
-  options.pending_timeout = Duration::FromNanos(
-      std::numeric_limits<int64_t>::max());
   options.max_pending = entries.size() + 1;
   options.keep_records = true;
   StreamingMarkerCorrelator correlator(options);

@@ -77,35 +77,4 @@ Result<ProcessSample> ProcessMonitor::Sample() {
   return sample;
 }
 
-PeriodicProcessLogger::PeriodicProcessLogger(pid_t pid, MetricsLogger* logger,
-                                             Duration interval)
-    : monitor_(pid), logger_(logger) {
-  thread_ = std::thread([this, interval] { Run(interval); });
-}
-
-PeriodicProcessLogger::~PeriodicProcessLogger() { Stop(); }
-
-void PeriodicProcessLogger::Stop() {
-  stop_.store(true, std::memory_order_relaxed);
-  if (thread_.joinable()) thread_.join();
-}
-
-void PeriodicProcessLogger::Run(Duration interval) {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    auto sample = monitor_.Sample();
-    if (sample.ok()) {
-      logger_->Log("cpu", sample->cpu_percent);
-      logger_->Log("rss", static_cast<double>(sample->rss_bytes));
-    }
-    // Sleep in small slices so Stop() is responsive.
-    const int64_t slices = std::max<int64_t>(1, interval.millis() / 10);
-    const auto slice = std::chrono::milliseconds(
-        std::max<int64_t>(1, interval.millis() / slices));
-    for (int64_t i = 0; i < slices; ++i) {
-      if (stop_.load(std::memory_order_relaxed)) return;
-      std::this_thread::sleep_for(slice);
-    }
-  }
-}
-
 }  // namespace graphtides

@@ -2,21 +2,16 @@
 // profiling tools to periodically measure the graph system processes (e.g.,
 // perf, pidstat ...). For each process, CPU load, memory usage ... have to
 // be logged"). ProcessMonitor reads /proc/<pid>, computing CPU utilization
-// between consecutive samples; PeriodicProcessLogger drives it on a
-// background thread into a MetricsLogger — the C++ equivalent of the
-// paper's Python/Node.js runtime metrics logger scripts.
+// between consecutive samples; its caller decides when to sample.
 #ifndef GRAPHTIDES_HARNESS_PROCESS_MONITOR_H_
 #define GRAPHTIDES_HARNESS_PROCESS_MONITOR_H_
 
 #include <sys/types.h>
 
-#include <atomic>
 #include <cstdint>
-#include <thread>
 
 #include "common/clock.h"
 #include "common/result.h"
-#include "harness/metrics_logger.h"
 
 namespace graphtides {
 
@@ -54,27 +49,6 @@ class ProcessMonitor {
   uint64_t last_ticks_ = 0;
   Timestamp last_time_;
   long ticks_per_second_;
-};
-
-/// \brief Background sampler: logs "cpu" (percent) and "rss" (bytes) for a
-/// process into a MetricsLogger at a fixed interval until stopped.
-class PeriodicProcessLogger {
- public:
-  PeriodicProcessLogger(pid_t pid, MetricsLogger* logger, Duration interval);
-  ~PeriodicProcessLogger();
-
-  PeriodicProcessLogger(const PeriodicProcessLogger&) = delete;
-  PeriodicProcessLogger& operator=(const PeriodicProcessLogger&) = delete;
-
-  void Stop();
-
- private:
-  void Run(Duration interval);
-
-  ProcessMonitor monitor_;
-  MetricsLogger* logger_;
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
 };
 
 }  // namespace graphtides

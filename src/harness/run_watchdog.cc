@@ -1,69 +1,32 @@
 #include "harness/run_watchdog.h"
 
-#include <cassert>
-#include <chrono>
 #include <utility>
 
 namespace graphtides {
 
 void RunWatchdog::Arm(ProgressProbe probe, HangFn on_hang) {
-  assert(!thread_.joinable() && "RunWatchdog armed twice without Disarm");
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = false;
-  }
+  Disarm();
+  probe_ = std::move(probe);
+  on_hang_ = std::move(on_hang);
   fired_.store(false, std::memory_order_release);
-  thread_ = std::thread([this, probe = std::move(probe),
-                         on_hang = std::move(on_hang)]() mutable {
-    Watch(std::move(probe), std::move(on_hang));
-  });
+  last_progress_.store(probe_(), std::memory_order_relaxed);
+  last_change_ = clock_->Now();
+  poller_.Start(options_.poll_interval,
+                [this] { return Check(probe_(), clock_->Now()); });
 }
 
-void RunWatchdog::Disarm() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
+bool RunWatchdog::Check(uint64_t progress, Timestamp now) {
+  if (fired()) return true;
+  if (progress != last_progress()) {
+    last_progress_.store(progress, std::memory_order_relaxed);
+    last_change_ = now;
+    return false;
   }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void RunWatchdog::Watch(ProgressProbe probe, HangFn on_hang) {
-  MonotonicClock clock;
-  uint64_t last = probe();
-  last_progress_.store(last, std::memory_order_relaxed);
-  Timestamp last_change = clock.Now();
-
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_) {
-    cv_.wait_for(lock,
-                 std::chrono::nanoseconds(options_.poll_interval.nanos()),
-                 [this] { return stop_; });
-    if (stop_) return;
-    // Sample outside the lock: probes may be arbitrarily slow and must not
-    // delay Disarm.
-    lock.unlock();
-    const uint64_t current = probe();
-    const Timestamp now = clock.Now();
-    bool hang = false;
-    if (current != last) {
-      last = current;
-      last_progress_.store(last, std::memory_order_relaxed);
-      last_change = now;
-    } else if (now - last_change >= options_.stall_deadline) {
-      hang = true;
-    }
-    if (hang) {
-      fired_.store(true, std::memory_order_release);
-      if (on_hang) on_hang(last, now - last_change);
-      // One shot: stay alive but passive until Disarm, so `fired` and
-      // `last_progress` remain observable.
-      lock.lock();
-      cv_.wait(lock, [this] { return stop_; });
-      return;
-    }
-    lock.lock();
-  }
+  const Duration stalled = now - last_change_;
+  if (stalled < options_.stall_deadline) return false;
+  fired_.store(true, std::memory_order_release);
+  if (on_hang_) on_hang_(progress, stalled);
+  return true;
 }
 
 }  // namespace graphtides

@@ -4,21 +4,19 @@
 // Liveness is derived from *progress*, not mere process aliveness: the
 // supervisor registers a probe returning a monotonically non-decreasing
 // counter (events delivered, markers observed, watermark position), and a
-// background thread polls it against a wall clock. When the counter stays
-// unchanged for longer than the stall deadline, the run is declared hung
-// and the hang action fires exactly once — typically a
-// CancellationToken::RequestCancel that the run observes cooperatively.
+// PollThread samples it every poll interval and hands the sample to
+// Check(). When the counter stays unchanged for the stall deadline, the
+// run is declared hung and the hang action fires exactly once — typically
+// a CancellationToken::RequestCancel that the run observes cooperatively.
 #ifndef GRAPHTIDES_HARNESS_RUN_WATCHDOG_H_
 #define GRAPHTIDES_HARNESS_RUN_WATCHDOG_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <thread>
 
 #include "common/clock.h"
+#include "harness/poll_thread.h"
 
 namespace graphtides {
 
@@ -32,8 +30,8 @@ struct WatchdogOptions {
 /// \brief Watches one run at a time; reusable across runs via Arm/Disarm.
 ///
 /// Thread-safety: Arm and Disarm are called by the supervising thread; the
-/// probe and hang action run on the watchdog's own thread and must be safe
-/// to call from there (probes typically read one atomic).
+/// probe and hang action run on the poll thread and must be safe to call
+/// from there (probes typically read one atomic).
 class RunWatchdog {
  public:
   /// Monotonically non-decreasing progress value of the supervised run.
@@ -42,20 +40,31 @@ class RunWatchdog {
   /// value and how long it had been stalled.
   using HangFn = std::function<void(uint64_t last_progress, Duration stalled)>;
 
-  explicit RunWatchdog(WatchdogOptions options) : options_(options) {}
-  ~RunWatchdog() { Disarm(); }
+  /// `clock` is borrowed and must outlive the watchdog; nullptr means a
+  /// MonotonicClock.
+  explicit RunWatchdog(WatchdogOptions options,
+                       const Clock* clock = nullptr)
+      : options_(options),
+        clock_(clock != nullptr ? clock : &monotonic_) {}
 
   RunWatchdog(const RunWatchdog&) = delete;
   RunWatchdog& operator=(const RunWatchdog&) = delete;
 
-  /// \brief Starts watching. The stall clock starts now; the first probe
-  /// sample seeds the baseline. PreconditionFailed semantics: arming an
-  /// armed watchdog is a programming error and asserts in debug builds.
+  /// \brief Starts watching. The stall clock starts now, from one probe
+  /// sample taken on the calling thread; the probe is then sampled every
+  /// poll interval. Arming an armed watchdog disarms it first.
   void Arm(ProgressProbe probe, HangFn on_hang);
 
-  /// Stops watching and joins the watchdog thread. Idempotent. After
-  /// Disarm returns, the hang action is guaranteed not to fire (anymore).
-  void Disarm();
+  /// Stops watching and joins the poll thread. Idempotent. After Disarm
+  /// returns, the hang action is guaranteed not to fire (anymore).
+  void Disarm() { poller_.Stop(); }
+
+  /// \brief The stall rule, applied to one progress sample taken at `now`:
+  /// a changed value restarts the stall clock; a value unchanged for the
+  /// stall deadline declares the run hung and fires the hang action (once
+  /// per Arm). Returns true once the run is hung. The poll thread calls
+  /// it; a caller that keeps the poll interval long may call it directly.
+  bool Check(uint64_t progress, Timestamp now);
 
   /// True once the current/last armed run was declared hung.
   bool fired() const { return fired_.load(std::memory_order_acquire); }
@@ -66,15 +75,18 @@ class RunWatchdog {
   }
 
  private:
-  void Watch(ProgressProbe probe, HangFn on_hang);
-
   WatchdogOptions options_;
-  std::thread thread_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;  // guarded by mu_
+  MonotonicClock monotonic_;
+  const Clock* clock_;
+  ProgressProbe probe_;
+  HangFn on_hang_;
+  /// When last_progress_ last changed.
+  Timestamp last_change_;
   std::atomic<bool> fired_{false};
   std::atomic<uint64_t> last_progress_{0};
+  // Last, so that it is joined (disarmed) before the state its poll reads
+  // goes away.
+  PollThread poller_;
 };
 
 }  // namespace graphtides

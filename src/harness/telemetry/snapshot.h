@@ -20,7 +20,8 @@ namespace graphtides {
 /// \brief Stages of the replay hot path traced by the sampled spans
 /// (read -> throttle -> serialize -> deliver -> ack).
 enum class ReplayStage : uint8_t {
-  /// Source parse/pull on the reader thread.
+  /// Decoding one entry: on the decode thread for file input, on the
+  /// reader thread for in-memory input.
   kRead = 0,
   /// RateController deadline wait on the emitter/lane thread.
   kThrottle = 1,

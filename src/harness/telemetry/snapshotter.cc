@@ -1,7 +1,5 @@
 #include "harness/telemetry/snapshotter.h"
 
-#include <chrono>
-
 namespace graphtides {
 
 TelemetrySnapshotter::TelemetrySnapshotter(RunTelemetry* source,
@@ -17,39 +15,21 @@ TelemetrySnapshotter::TelemetrySnapshotter(RunTelemetry* source,
 TelemetrySnapshotter::~TelemetrySnapshotter() { Stop(); }
 
 void TelemetrySnapshotter::Start() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (started_ || stopped_) return;
-    started_ = true;
-  }
+  if (started_ || stopped_) return;
+  started_ = true;
   start_time_ = clock_.Now();
-  thread_ = std::thread(&TelemetrySnapshotter::Loop, this);
+  poller_.Start(options_.period, [this] {
+    Emit();
+    return false;
+  });
 }
 
 void TelemetrySnapshotter::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) return;
-    stopped_ = true;
-    stop_requested_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
+  if (stopped_) return;
+  stopped_ = true;
+  poller_.Stop();
   // Final record: whatever the periodic ticks missed at the tail.
   Emit();
-}
-
-void TelemetrySnapshotter::Loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_requested_) {
-    const auto wait = std::chrono::nanoseconds(options_.period.nanos());
-    if (cv_.wait_for(lock, wait, [this] { return stop_requested_; })) {
-      break;
-    }
-    lock.unlock();
-    Emit();
-    lock.lock();
-  }
 }
 
 void TelemetrySnapshotter::Emit() {

@@ -1,17 +1,15 @@
-// TelemetrySnapshotter: a background thread that periodically pulls a
-// snapshot from RunTelemetry, stamps seq/elapsed/interval-rate, and emits
+// TelemetrySnapshotter: a PollThread that periodically pulls a snapshot
+// from RunTelemetry, stamps seq/elapsed/interval-rate, and emits
 // it as one JSONL line (sidecar file, stderr, or a test callback). Stop()
 // always emits a final snapshot so short runs still produce a record.
 #ifndef GRAPHTIDES_HARNESS_TELEMETRY_SNAPSHOTTER_H_
 #define GRAPHTIDES_HARNESS_TELEMETRY_SNAPSHOTTER_H_
 
-#include <condition_variable>
 #include <cstdio>
 #include <functional>
-#include <mutex>
-#include <thread>
 
 #include "common/clock.h"
+#include "harness/poll_thread.h"
 #include "harness/telemetry/run_telemetry.h"
 
 namespace graphtides {
@@ -34,22 +32,19 @@ class TelemetrySnapshotter {
   TelemetrySnapshotter(const TelemetrySnapshotter&) = delete;
   TelemetrySnapshotter& operator=(const TelemetrySnapshotter&) = delete;
 
+  /// Starts the periodic snapshots. A no-op after Stop().
   void Start();
-  /// Emits the final snapshot and joins the thread. Idempotent.
+  /// Joins the poll thread and emits the final snapshot. Idempotent.
+  /// Start and Stop are called from the thread that owns the snapshotter.
   void Stop();
 
   uint64_t snapshots_emitted() const { return seq_; }
 
  private:
-  void Loop();
   void Emit();
 
   RunTelemetry* source_;
   SnapshotterOptions options_;
-  std::thread thread_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_requested_ = false;
   bool started_ = false;
   bool stopped_ = false;
 
@@ -59,6 +54,9 @@ class TelemetrySnapshotter {
   // Previous emission, for interval event rates.
   uint64_t prev_events_ = 0;
   double prev_elapsed_s_ = 0.0;
+
+  // Last, after the state its poll reads.
+  PollThread poller_;
 };
 
 }  // namespace graphtides

@@ -82,21 +82,6 @@ bool StreamingMarkerCorrelator::MarkerObserved(std::string_view label,
   return true;
 }
 
-size_t StreamingMarkerCorrelator::ExpireBefore(Timestamp now) {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t expired = 0;
-  while (true) {
-    PopConsumedFrontLocked();
-    if (fifo_.empty()) break;
-    const Pending& front = fifo_.front();
-    if (front.sent + options_.pending_timeout >= now) break;
-    EvictLocked(front);
-    fifo_.pop_front();
-    ++expired;
-  }
-  return expired;
-}
-
 void StreamingMarkerCorrelator::Finish() {
   std::lock_guard<std::mutex> lock(mu_);
   while (true) {

@@ -1,16 +1,15 @@
 // Online marker/watermark correlation (§4.5): matches sent markers with
 // their observations while the run is still going, instead of the post-run
 // log join. Pending sends live in a bounded FIFO — an observation consumes
-// the oldest pending send of its label, sends past the pending budget or
-// the timeout become unmatched — so memory stays constant no matter how
-// long the run is, and in-flight latency percentiles are available at any
+// the oldest pending send of its label, sends past the pending budget
+// become unmatched — so memory stays constant no matter how long the run
+// is, and in-flight latency percentiles are available at any
 // instant through the embedded LatencyHistogram.
 #ifndef GRAPHTIDES_HARNESS_TELEMETRY_STREAMING_MARKER_CORRELATOR_H_
 #define GRAPHTIDES_HARNESS_TELEMETRY_STREAMING_MARKER_CORRELATOR_H_
 
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -23,9 +22,6 @@
 namespace graphtides {
 
 struct StreamingCorrelatorOptions {
-  /// A pending send older than this at an ExpireBefore() sweep becomes
-  /// unmatched (a lost marker is reported during the run, not after it).
-  Duration pending_timeout = Duration::FromSeconds(60);
   /// Pending-map bound: a send past this budget evicts the oldest pending
   /// send as unmatched first. Keeps a misbehaving SUT from growing the
   /// correlator without bound.
@@ -48,7 +44,7 @@ struct CorrelatorCounts {
   uint64_t sent = 0;
   uint64_t observed = 0;
   uint64_t matched = 0;
-  /// Sends that timed out, were evicted, or were still pending at Finish.
+  /// Sends evicted past the pending budget or still pending at Finish.
   uint64_t unmatched = 0;
   /// Observations with no pending send at or before their time.
   uint64_t orphan_observations = 0;
@@ -70,9 +66,6 @@ class StreamingMarkerCorrelator {
   /// True when the observation matched (and consumed) a pending send.
   bool MarkerObserved(std::string_view label, Timestamp time);
 
-  /// Times out pending sends with sent + pending_timeout < now; returns how
-  /// many expired. Call periodically (e.g. from the snapshotter tick).
-  size_t ExpireBefore(Timestamp now);
   /// End of run: every still-pending send becomes unmatched.
   void Finish();
 

@@ -6,45 +6,31 @@ namespace graphtides {
 
 WeaverConnector::WeaverConnector(Simulator* sim,
                                  WeaverConnectorOptions options)
-    : sim_(sim), options_(std::move(options)) {
-  if (options_.events_per_tx == 0) options_.events_per_tx = 1;
-  store_ = std::make_unique<WeaverLite>(sim_, options_.store);
-  store_->SetOnTransactionDone([this] { Drain(); });
+    : sim_(sim),
+      options_(std::move(options)),
+      store_(std::make_unique<WeaverLite>(sim_, options_.store)),
+      client_(store_.get(), options_.events_per_tx) {
+  store_->SetOnTransactionDone([this] { client_.Drain(); });
 }
 
 void WeaverConnector::Ingest(const Event& event) {
-  ++ingested_;
-  batch_.push_back(event);
-  if (batch_.size() >= options_.events_per_tx) {
-    ready_.push_back(std::move(batch_));
-    batch_.clear();
-  } else {
-    ArmLinger();
-  }
-  Drain();
+  client_.Add(event);
+  if (client_.has_partial_batch()) ArmLinger();
+  client_.Drain();
 }
 
 void WeaverConnector::ArmLinger() {
   const uint64_t generation = ++linger_generation_;
   sim_->ScheduleAfter(options_.batch_linger, [this, generation] {
     // A newer event re-armed the timer (or the batch already shipped).
-    if (generation != linger_generation_ || batch_.empty()) return;
-    ready_.push_back(std::move(batch_));
-    batch_.clear();
-    Drain();
+    if (generation == linger_generation_ && client_.has_partial_batch()) {
+      client_.Flush();
+    }
   });
 }
 
-void WeaverConnector::Drain() {
-  while (!ready_.empty()) {
-    if (!store_->TrySubmit(ready_.front())) return;  // backpressure
-    ready_.pop_front();
-  }
-}
-
 bool WeaverConnector::Idle() const {
-  return batch_.empty() && ready_.empty() &&
-         EventsApplied() >= ingested_;
+  return client_.Idle() && EventsApplied() >= client_.events_offered();
 }
 
 std::unordered_map<VertexId, double> WeaverConnector::CurrentRanks() const {

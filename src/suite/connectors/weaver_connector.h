@@ -3,21 +3,18 @@
 // capacity search driving it — can run the same workloads against a
 // store-architecture SUT as against the analytics engines.
 //
-// The adapter plays the Weaver *client* role from the paper's experiment:
-// it batches stream events into transactions (amortizing the timestamper's
-// fixed per-tx cost), submits them, and resubmits on backpressure when the
-// admission queue refuses. A short linger timer flushes trailing partial
-// batches so the connector drains at end of stream (the suite has no
-// explicit end-of-stream hook).
+// The adapter is the experiment's WeaverClient (batching into
+// transactions, resubmission on backpressure) plus a short linger timer
+// that flushes trailing partial batches, so the connector drains at end of
+// stream (the suite has no explicit end-of-stream hook).
 #ifndef GRAPHTIDES_SUITE_CONNECTORS_WEAVER_CONNECTOR_H_
 #define GRAPHTIDES_SUITE_CONNECTORS_WEAVER_CONNECTOR_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <vector>
 
 #include "suite/connector.h"
+#include "sut/weaverlite/weaver_client.h"
 #include "sut/weaverlite/weaverlite.h"
 
 namespace graphtides {
@@ -56,15 +53,11 @@ class WeaverConnector final : public SuiteConnector {
 
  private:
   void ArmLinger();
-  void Drain();
 
   Simulator* sim_;
   WeaverConnectorOptions options_;
   std::unique_ptr<WeaverLite> store_;
-
-  std::vector<Event> batch_;
-  std::deque<std::vector<Event>> ready_;
-  uint64_t ingested_ = 0;
+  WeaverClient client_;
   uint64_t linger_generation_ = 0;
 };
 

@@ -1,63 +1,13 @@
 #include "sut/weaverlite/experiment.h"
 
-#include <deque>
 #include <memory>
 
 #include "harness/metrics_logger.h"
 #include "sim/simulator.h"
 #include "sim/virtual_replayer.h"
+#include "sut/weaverlite/weaver_client.h"
 
 namespace graphtides {
-
-namespace {
-
-/// Client process: batches incoming events into transactions and submits
-/// them, retrying when the store pushes back.
-class WeaverClient {
- public:
-  WeaverClient(WeaverLite* store, size_t events_per_tx)
-      : store_(store), events_per_tx_(events_per_tx) {}
-
-  void OnEvent(const Event& event) {
-    ++events_offered_;
-    batch_.push_back(event);
-    if (batch_.size() >= events_per_tx_) {
-      ready_.push_back(std::move(batch_));
-      batch_.clear();
-    }
-    Drain();
-  }
-
-  /// Flushes a trailing partial batch at end of stream.
-  void Flush() {
-    if (!batch_.empty()) {
-      ready_.push_back(std::move(batch_));
-      batch_.clear();
-    }
-    Drain();
-  }
-
-  /// Submits as many ready transactions as the store admits.
-  void Drain() {
-    while (!ready_.empty()) {
-      if (!store_->TrySubmit(ready_.front())) return;  // backpressure
-      ready_.pop_front();
-    }
-  }
-
-  bool Idle() const { return batch_.empty() && ready_.empty(); }
-  uint64_t events_offered() const { return events_offered_; }
-  size_t backlog_transactions() const { return ready_.size(); }
-
- private:
-  WeaverLite* store_;
-  size_t events_per_tx_;
-  std::vector<Event> batch_;
-  std::deque<std::vector<Event>> ready_;
-  uint64_t events_offered_ = 0;
-};
-
-}  // namespace
 
 Result<WeaverExperimentResult> RunWeaverExperiment(
     const std::vector<Event>& stream, const WeaverExperimentConfig& config) {
@@ -83,7 +33,10 @@ Result<WeaverExperimentResult> RunWeaverExperiment(
   }
   replayer.Start(
       stream,
-      [&](const Event& event, size_t) { client.OnEvent(event); },
+      [&](const Event& event, size_t) {
+        client.Add(event);
+        client.Drain();
+      },
       [&](const std::string& label) {
         replayer_log.LogText("marker", 1.0, label);
       },

@@ -192,5 +192,46 @@ TEST_F(FleetTest, VanishedWorkerRangeIsReassignedToSurvivor) {
   EXPECT_GE(totals.tasks_started, 2u);
 }
 
+TEST_F(FleetTest, SilentWorkerIsDeclaredDeadAndItsRangeReassigned) {
+  CoordinatorOptions options = FleetOptions();
+  options.heartbeat_timeout_ms = 500;
+  Coordinator coordinator(options);
+  auto port = coordinator.Start();
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+
+  Result<FleetReport> report = Status::Internal("never ran");
+  std::thread coord_thread([&] { report = coordinator.Run(); });
+
+  // Unlike the vanished ghost above, this one keeps its connection open
+  // and simply falls silent after taking its assignment: no EOF ever
+  // reaches the coordinator, so only the heartbeat timeout can declare it
+  // dead and hand its range to the survivor.
+  ReplayWorker survivor(WorkerOptions(*port, "w0"));
+  std::thread t0([&] { EXPECT_TRUE(survivor.Run().ok()); });
+  auto ghost = ControlChannel::Dial("127.0.0.1", *port, 2000);
+  ASSERT_TRUE(ghost.ok()) << ghost.status().ToString();
+  Frame hello(FrameType::kHello);
+  hello.Set("worker", "ghost");
+  EXPECT_TRUE((*ghost)->Send(hello).ok());
+  bool assigned = false;
+  while (!assigned) {
+    auto frame = (*ghost)->Receive(5000);
+    if (!frame.ok()) break;
+    assigned = frame->type == FrameType::kAssign;
+  }
+  EXPECT_TRUE(assigned) << "ghost never received its assignment";
+
+  t0.join();
+  coord_thread.join();
+  (*ghost)->Shutdown();  // only now, after the fleet has completed
+
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->exactly_once());
+  EXPECT_EQ(report->events, golden_events_);
+  EXPECT_EQ(report->worker_deaths, 1u);
+  EXPECT_GE(report->reassignments, 1u);
+  ExpectFleetMatchesGolden();
+}
+
 }  // namespace
 }  // namespace graphtides

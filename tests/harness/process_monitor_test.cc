@@ -63,40 +63,5 @@ TEST(ProcessMonitorTest, MissingProcessIsIoError) {
   EXPECT_TRUE(sample.status().IsIoError());
 }
 
-TEST(PeriodicProcessLoggerTest, LogsCpuAndRssSeries) {
-  WallClock wall;
-  MetricsLogger logger("sut-process", &wall);
-  {
-    PeriodicProcessLogger periodic(::getpid(), &logger,
-                                   Duration::FromMillis(20));
-    BurnCpu(150);
-    // Destructor stops the sampler.
-  }
-  const auto records = logger.Records();
-  ASSERT_GE(records.size(), 4u);
-  size_t cpu_records = 0;
-  size_t rss_records = 0;
-  for (const LogRecord& r : records) {
-    EXPECT_EQ(r.source, "sut-process");
-    if (r.metric == "cpu") ++cpu_records;
-    if (r.metric == "rss") {
-      ++rss_records;
-      EXPECT_GT(r.value, 0.0);
-    }
-  }
-  EXPECT_EQ(cpu_records, rss_records);
-  EXPECT_GE(cpu_records, 2u);
-}
-
-TEST(PeriodicProcessLoggerTest, StopIsIdempotent) {
-  WallClock wall;
-  MetricsLogger logger("p", &wall);
-  PeriodicProcessLogger periodic(::getpid(), &logger,
-                                 Duration::FromMillis(10));
-  periodic.Stop();
-  periodic.Stop();
-  SUCCEED();
-}
-
 }  // namespace
 }  // namespace graphtides

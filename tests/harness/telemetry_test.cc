@@ -173,21 +173,6 @@ TEST(StreamingCorrelatorTest, ZeroLatencyObservationMatches) {
   EXPECT_EQ(c.Counts().matched, 1u);
 }
 
-TEST(StreamingCorrelatorTest, ExpireBeforeTimesOutOldPendingSends) {
-  StreamingCorrelatorOptions options;
-  options.pending_timeout = Duration::FromMillis(50);
-  StreamingMarkerCorrelator c(options);
-  c.MarkerSent("OLD", Timestamp::FromMillis(0));
-  c.MarkerSent("NEW", Timestamp::FromMillis(40));
-  EXPECT_EQ(c.ExpireBefore(Timestamp::FromMillis(60)), 1u);
-  const CorrelatorCounts counts = c.Counts();
-  EXPECT_EQ(counts.unmatched, 1u);
-  EXPECT_EQ(counts.pending, 1u);
-  // The expired send can no longer match.
-  EXPECT_FALSE(c.MarkerObserved("OLD", Timestamp::FromMillis(70)));
-  EXPECT_TRUE(c.MarkerObserved("NEW", Timestamp::FromMillis(70)));
-}
-
 TEST(StreamingCorrelatorTest, PendingBudgetEvictsOldestFirst) {
   StreamingCorrelatorOptions options;
   options.max_pending = 4;
@@ -234,8 +219,8 @@ TEST(StreamingCorrelatorTest, KeepRecordsRetainsMatchedMarkers) {
 }
 
 TEST(StreamingCorrelatorTest, ConcurrentSendersAndObserversStayConsistent) {
-  // TSan-covered: senders, observers, an expirer, and a Counts() poller all
-  // race on one correlator; cumulative counters must still reconcile.
+  // TSan-covered: senders, observers and a Counts() poller all race on one
+  // correlator; cumulative counters must still reconcile.
   StreamingMarkerCorrelator c;
   constexpr int kPerThread = 2000;
   constexpr int kSenders = 3;
@@ -265,7 +250,6 @@ TEST(StreamingCorrelatorTest, ConcurrentSendersAndObserversStayConsistent) {
     for (int i = 0; i < 100; ++i) {
       c.Counts();
       c.LatencySnapshot();
-      c.ExpireBefore(Timestamp::FromNanos(0));
       std::this_thread::yield();
     }
   });

@@ -1,7 +1,7 @@
 // gt_coordinator — control plane for distributed replay: accepts
 // `gt_replay --worker` processes, deals disjoint shard ranges over the
 // framed TCP protocol, drives the cross-process epoch barrier, detects
-// worker death via heartbeat watchdogs and reassigns orphaned ranges to
+// worker death (EOF or heartbeat silence) and reassigns orphaned ranges to
 // survivors (byte-exact resume from the range's last durable checkpoint),
 // and merges per-range telemetry into one fleet report.
 //
